@@ -143,6 +143,15 @@ unsafe impl<T> Send for SendPtr<T> {}
 // SAFETY: see the `Send` impl above — tasks never write the same element.
 unsafe impl<T> Sync for SendPtr<T> {}
 
+/// Chunk length, in 4D sites, of a fused pass over whole `l5`-deep
+/// s-columns: `grain` counts 5D spinors per chunk, so a chunk holds
+/// `⌈grain / l5⌉` sites (at least one). A pure function of `(grain, l5)`,
+/// never of the pool width; the fused passes are elementwise with no
+/// reductions, so the chunk shape cannot change a bit of any result.
+pub(crate) fn column_chunk(grain: usize, l5: usize) -> usize {
+    grain.div_ceil(l5.max(1)).max(1)
+}
+
 /// Hopping-term kernel bound to a lattice and a gauge field.
 pub struct HoppingKernel<'a, R: Real, G: GaugeLinks<R>> {
     lattice: &'a Lattice,
@@ -241,6 +250,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
     /// bit), and `finish(s, x, h)` maps it to the value stored at
     /// `out[s·V + x]`. With `l5 = 1` this doubles as a fused 4D hop whose
     /// diagonal/algebra pass is folded into the single output write.
+    /// `grain` counts 5D spinors per chunk (see [`column_chunk`]).
     pub fn apply_full_fused_5d<F>(
         &self,
         out: &mut [Spinor<R>],
@@ -259,7 +269,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
         // `Sync`).
         let optr = SendPtr(out.as_mut_ptr());
         let avx2 = avx2_detected();
-        rayon::for_each_chunk(v, grain, move |range| {
+        rayon::for_each_chunk(v, column_chunk(grain, l5), move |range| {
             if avx2 {
                 // SAFETY: `avx2_detected` returned true, so the AVX2-compiled
                 // twin is safe to call on this CPU.
@@ -328,7 +338,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
     /// Checkerboarded counterpart of [`Self::apply_full_fused_5d`]: hops from
     /// parity `!out_parity` onto `out_parity`, slices are `half_volume` long,
     /// and `finish(s, cb, h)` maps the slice-`s` hop at checkerboard site
-    /// `cb` to the value stored at `out[s·hv + cb]`.
+    /// `cb` to the value stored at `out[s·hv + cb]`. `grain` counts 5D
+    /// spinors per chunk (see [`column_chunk`]).
     pub fn apply_parity_fused_5d<F>(
         &self,
         out: &mut [Spinor<R>],
@@ -347,7 +358,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
         // `move` captures the whole `SendPtr` wrapper, as above.
         let optr = SendPtr(out.as_mut_ptr());
         let avx2 = avx2_detected();
-        rayon::for_each_chunk(hv, grain, move |range| {
+        rayon::for_each_chunk(hv, column_chunk(grain, l5), move |range| {
             if avx2 {
                 // SAFETY: `avx2_detected` returned true, so the AVX2-compiled
                 // twin is safe to call on this CPU.

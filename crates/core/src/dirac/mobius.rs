@@ -26,7 +26,7 @@
 //! `s`-slice is a contiguous 4D field and the 4D hopping kernel runs on it
 //! unchanged.
 
-use super::hopping::{HoppingKernel, HOPPING_FLOPS_PER_SITE};
+use super::hopping::{column_chunk, HoppingKernel, SendPtr, HOPPING_FLOPS_PER_SITE};
 use super::{BlockDiracOp, BlockLinearOp, DiracOp, DslashVariant, LinearOp};
 use crate::field::GaugeLinks;
 use crate::lattice::{Lattice, Parity};
@@ -239,171 +239,264 @@ impl<R: Real> FifthDim<R> {
         }
     }
 
+    /// Run `body` over the 4D sites `0..slice_len` on the pool, in chunks of
+    /// whole s-columns sized by 5D work ([`column_chunk`]`(grain, L5)`
+    /// sites), through the AVX2-compiled twin when it is available. Every
+    /// column sweep below writes each `(s, i)` element from exactly one
+    /// chunk and reduces nothing, so the chunk shape cannot change a bit.
+    fn sweep<F>(&self, slice_len: usize, grain: usize, body: &F)
+    where
+        F: Fn(std::ops::Range<usize>) + Sync,
+    {
+        let avx2 = crate::simd::avx2_detected();
+        let chunk = column_chunk(grain, self.params.l5);
+        rayon::for_each_chunk(slice_len, chunk, |range| {
+            if avx2 {
+                // SAFETY: `avx2_detected` returned true, so the AVX2-compiled
+                // twin is safe to call on this CPU.
+                #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
+                unsafe {
+                    sweep_chunk_avx2(body, range)
+                };
+            } else {
+                body(range);
+            }
+        });
+    }
+
+    /// `a·in + b·shift^(†)(in)` at 5D index `(s, i)`: the per-element chain
+    /// of [`Self::affine_shift`].
+    #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
+    fn affine_at(
+        &self,
+        inp: &[Spinor<R>],
+        slice_len: usize,
+        s: usize,
+        i: usize,
+        a: R,
+        b: R,
+        dagger: bool,
+    ) -> Spinor<R> {
+        inp[s * slice_len + i].scale(a) + self.shift_at(inp, slice_len, s, i, dagger).scale(b)
+    }
+
+    /// `(A⁻¹ in)` (or `(A†)⁻¹ in`) at fifth-dimension index `s_out` of one
+    /// s-column, `col(s_in)` returning the column's input at `s_in`: the
+    /// exact accumulation chain of [`Self::apply_a_inverse`]. Because the
+    /// `A±` blocks are mutual transposes, the adjoint just swaps which
+    /// inverse serves which chirality.
+    #[inline(always)]
+    fn a_inverse_at(
+        &self,
+        s_out: usize,
+        col: impl Fn(usize) -> Spinor<R>,
+        dagger: bool,
+    ) -> Spinor<R> {
+        let l5 = self.params.l5;
+        let (inv_up, inv_dn) = if dagger {
+            (&self.ainv_minus, &self.ainv_plus)
+        } else {
+            (&self.ainv_plus, &self.ainv_minus)
+        };
+        let mut acc = Spinor::zero();
+        for s_in in 0..l5 {
+            let wp = inv_up[s_out * l5 + s_in];
+            let wm = inv_dn[s_out * l5 + s_in];
+            let src = col(s_in);
+            // Chirality-plus spins are 0,1; minus are 2,3 (γ5 diagonal).
+            acc.s[0] += src.s[0].scale(wp);
+            acc.s[1] += src.s[1].scale(wp);
+            acc.s[2] += src.s[2].scale(wm);
+            acc.s[3] += src.s[3].scale(wm);
+        }
+        acc
+    }
+
     /// Column-wise fused precompute of *both* diagonal-sector vectors:
     /// `rho = b5·ψ + c5·shift(ψ)` and `diag = α·ψ + β·shift(ψ)` in a single
-    /// sweep parallelized over 4D sites. For a fixed site the whole s-column
-    /// of `ψ` stays cache-resident across the inner s-loop, so each element
-    /// is streamed from memory once instead of three times per output (and
-    /// the shifted spinor is computed once and shared by both outputs —
-    /// value-reuse, not reassociation, so both vectors carry the identical
-    /// per-element chains as [`Self::affine_shift`]).
+    /// sweep. For a fixed site the whole s-column of `ψ` stays
+    /// cache-resident across the inner s-loop, so each element is streamed
+    /// from memory once instead of three times per output (and the shifted
+    /// spinor is computed once and shared by both outputs — value-reuse,
+    /// not reassociation, so both vectors carry the identical per-element
+    /// chains as [`Self::affine_shift`]).
     fn rho_and_diag(
         &self,
         rho: &mut [Spinor<R>],
         diag: &mut [Spinor<R>],
         inp: &[Spinor<R>],
         slice_len: usize,
+        grain: usize,
     ) {
         let l5 = self.params.l5;
         let n = inp.len();
         assert_eq!(rho.len(), n);
         assert_eq!(diag.len(), n);
         assert_eq!(n, l5 * slice_len);
-        let grain = crate::blas::grain_for(slice_len);
-        let rptr = super::hopping::SendPtr(rho.as_mut_ptr());
-        let dptr = super::hopping::SendPtr(diag.as_mut_ptr());
-        let avx2 = crate::simd::avx2_detected();
-        rayon::for_each_chunk(slice_len, grain, |range| {
-            if avx2 {
-                // SAFETY: `avx2_detected` returned true, so the AVX2-compiled
-                // twin is safe to call on this CPU.
-                #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-                unsafe {
-                    self.rho_and_diag_range_avx2(&rptr, &dptr, inp, slice_len, range)
-                };
-            } else {
-                self.rho_and_diag_range(&rptr, &dptr, inp, slice_len, range);
-            }
-        });
-    }
-
-    /// Chunk body of [`Self::rho_and_diag`]: 4D sites `range`, whole
-    /// s-columns.
-    #[inline(always)]
-    fn rho_and_diag_range(
-        &self,
-        rptr: &super::hopping::SendPtr<Spinor<R>>,
-        dptr: &super::hopping::SendPtr<Spinor<R>>,
-        inp: &[Spinor<R>],
-        slice_len: usize,
-        range: std::ops::Range<usize>,
-    ) {
-        let l5 = self.params.l5;
         let (b5, c5) = (R::from_f64(self.params.b5), R::from_f64(self.params.c5));
         let (al, be) = (
             R::from_f64(self.params.alpha()),
             R::from_f64(self.params.beta()),
         );
-        for i in range {
-            for s in 0..l5 {
-                let idx = s * slice_len + i;
-                let sh = self.shift_at(inp, slice_len, s, i, false);
-                // SAFETY: each (s, i) pair is written by exactly one task
-                // (`i` ranges over disjoint chunks, `s` is task-local),
-                // and `idx < l5·slice_len` keeps both writes in bounds.
-                unsafe {
-                    *rptr.get().add(idx) = inp[idx].scale(b5) + sh.scale(c5);
-                    *dptr.get().add(idx) = inp[idx].scale(al) + sh.scale(be);
+        let rptr = SendPtr(rho.as_mut_ptr());
+        let dptr = SendPtr(diag.as_mut_ptr());
+        self.sweep(slice_len, grain, &|range| {
+            for i in range {
+                for s in 0..l5 {
+                    let idx = s * slice_len + i;
+                    let sh = self.shift_at(inp, slice_len, s, i, false);
+                    // SAFETY: each (s, i) pair is written by exactly one
+                    // task (`i` ranges over disjoint chunks, `s` is
+                    // task-local), and `idx < l5·slice_len` keeps both
+                    // writes in bounds.
+                    unsafe {
+                        *rptr.get().add(idx) = inp[idx].scale(b5) + sh.scale(c5);
+                        *dptr.get().add(idx) = inp[idx].scale(al) + sh.scale(be);
+                    }
                 }
-            }
-        }
-    }
-
-    /// AVX2-compiled twin of [`Self::rho_and_diag_range`]; same IEEE ops,
-    /// 256-bit codegen, bit-identical results (rustc emits no FMA).
-    #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "avx2")]
-    fn rho_and_diag_range_avx2(
-        &self,
-        rptr: &super::hopping::SendPtr<Spinor<R>>,
-        dptr: &super::hopping::SendPtr<Spinor<R>>,
-        inp: &[Spinor<R>],
-        slice_len: usize,
-        range: std::ops::Range<usize>,
-    ) {
-        self.rho_and_diag_range(rptr, dptr, inp, slice_len, range);
-    }
-
-    /// Column-wise fused `out = ρ(A⁻¹ in)`: for each 4D site, apply the
-    /// `L5×L5` inverse to the whole s-column (the exact accumulation chain
-    /// of [`Self::apply_a_inverse`], so each input element is read from
-    /// memory once instead of `L5` times), then form
-    /// `b5·(A⁻¹in) + c5·shift(A⁻¹in)` from the still-local column — the
-    /// shift chain is [`Self::shift_at`] on the column itself.
-    fn ainv_then_rho(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], slice_len: usize) {
-        let l5 = self.params.l5;
-        let n = inp.len();
-        assert_eq!(out.len(), n);
-        assert_eq!(n, l5 * slice_len);
-        let grain = crate::blas::grain_for(slice_len);
-        let optr = super::hopping::SendPtr(out.as_mut_ptr());
-        let avx2 = crate::simd::avx2_detected();
-        rayon::for_each_chunk(slice_len, grain, |range| {
-            if avx2 {
-                // SAFETY: `avx2_detected` returned true, so the AVX2-compiled
-                // twin is safe to call on this CPU.
-                #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-                unsafe {
-                    self.ainv_then_rho_range_avx2(&optr, inp, slice_len, range)
-                };
-            } else {
-                self.ainv_then_rho_range(&optr, inp, slice_len, range);
             }
         });
     }
 
-    /// Chunk body of [`Self::ainv_then_rho`]: 4D sites `range`, whole
-    /// s-columns.
-    #[inline(always)]
-    fn ainv_then_rho_range(
+    /// Column-wise fused `out = ρ(A⁻¹ in)`: for each 4D site, apply the
+    /// `L5×L5` inverse to the whole s-column (so each input element is read
+    /// from memory once instead of `L5` times), then form
+    /// `b5·(A⁻¹in) + c5·shift(A⁻¹in)` from the still-local column.
+    fn ainv_then_rho(
         &self,
-        optr: &super::hopping::SendPtr<Spinor<R>>,
+        out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
         slice_len: usize,
-        range: std::ops::Range<usize>,
+        grain: usize,
     ) {
         let l5 = self.params.l5;
+        let n = inp.len();
+        assert_eq!(out.len(), n);
+        assert_eq!(n, l5 * slice_len);
         let (b5, c5) = (R::from_f64(self.params.b5), R::from_f64(self.params.c5));
-        let (inv_up, inv_dn) = (&self.ainv_plus, &self.ainv_minus);
-        let mut col = vec![Spinor::zero(); l5];
-        for i in range {
-            for (s_out, c) in col.iter_mut().enumerate() {
-                let mut acc = Spinor::zero();
-                for s_in in 0..l5 {
-                    let wp = inv_up[s_out * l5 + s_in];
-                    let wm = inv_dn[s_out * l5 + s_in];
-                    let src = &inp[s_in * slice_len + i];
-                    acc.s[0] += src.s[0].scale(wp);
-                    acc.s[1] += src.s[1].scale(wp);
-                    acc.s[2] += src.s[2].scale(wm);
-                    acc.s[3] += src.s[3].scale(wm);
+        let optr = SendPtr(out.as_mut_ptr());
+        self.sweep(slice_len, grain, &|range| {
+            let mut col = vec![Spinor::zero(); l5];
+            for i in range {
+                for (s_out, c) in col.iter_mut().enumerate() {
+                    *c = self.a_inverse_at(s_out, |s_in| inp[s_in * slice_len + i], false);
                 }
-                *c = acc;
-            }
-            for s in 0..l5 {
-                // `shift_at` on the local column: slice length 1, site 0.
-                let sh = self.shift_at(&col, 1, s, 0, false);
-                // SAFETY: each (s, i) is written by exactly one task and
-                // the index stays in bounds, as in `rho_and_diag`.
-                unsafe {
-                    *optr.get().add(s * slice_len + i) = col[s].scale(b5) + sh.scale(c5);
+                for s in 0..l5 {
+                    // `affine_at` on the local column: slice length 1, site 0.
+                    let v = self.affine_at(&col, 1, s, 0, b5, c5, false);
+                    // SAFETY: each (s, i) is written by exactly one task and
+                    // the index stays in bounds, as in `rho_and_diag`.
+                    unsafe { *optr.get().add(s * slice_len + i) = v };
                 }
             }
-        }
+        });
     }
 
-    /// AVX2-compiled twin of [`Self::ainv_then_rho_range`]; same IEEE ops,
-    /// 256-bit codegen, bit-identical results (rustc emits no FMA).
-    #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "avx2")]
-    fn ainv_then_rho_range_avx2(
+    /// First pass of the fused adjoint: `diag = α·ψ + β·shift†(ψ)` (the
+    /// `A†ψ` term) and `g = γ5ψ` (the input of the first `γ5 H γ5`) in one
+    /// column sweep.
+    fn diag_dagger_and_gamma5(
         &self,
-        optr: &super::hopping::SendPtr<Spinor<R>>,
+        diag: &mut [Spinor<R>],
+        g: &mut [Spinor<R>],
         inp: &[Spinor<R>],
         slice_len: usize,
-        range: std::ops::Range<usize>,
+        grain: usize,
     ) {
-        self.ainv_then_rho_range(optr, inp, slice_len, range);
+        let l5 = self.params.l5;
+        let n = inp.len();
+        assert_eq!(diag.len(), n);
+        assert_eq!(g.len(), n);
+        assert_eq!(n, l5 * slice_len);
+        let (al, be) = (
+            R::from_f64(self.params.alpha()),
+            R::from_f64(self.params.beta()),
+        );
+        let dptr = SendPtr(diag.as_mut_ptr());
+        let gptr = SendPtr(g.as_mut_ptr());
+        self.sweep(slice_len, grain, &|range| {
+            for i in range {
+                for s in 0..l5 {
+                    let idx = s * slice_len + i;
+                    let d = self.affine_at(inp, slice_len, s, i, al, be, true);
+                    // SAFETY: each (s, i) is written by exactly one task and
+                    // the index stays in bounds, as in `rho_and_diag`.
+                    unsafe {
+                        *dptr.get().add(idx) = d;
+                        *gptr.get().add(idx) = inp[idx].apply_gamma5();
+                    }
+                }
+            }
+        });
+    }
+
+    /// Middle pass of the fused adjoint: `out = γ5·(A†)⁻¹(−½·ρ† in)` per
+    /// s-column — `−½ ρ†` of the first hop, the adjoint inverse, and the
+    /// `γ5` feeding the second hop, with the column held locally between
+    /// them.
+    fn rho_dagger_ainv_dagger_gamma5(
+        &self,
+        out: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
+        slice_len: usize,
+        grain: usize,
+    ) {
+        let l5 = self.params.l5;
+        let n = inp.len();
+        assert_eq!(out.len(), n);
+        assert_eq!(n, l5 * slice_len);
+        let (b5, c5) = (R::from_f64(self.params.b5), R::from_f64(self.params.c5));
+        let neg_half = R::from_f64(-0.5);
+        let optr = SendPtr(out.as_mut_ptr());
+        self.sweep(slice_len, grain, &|range| {
+            let mut col = vec![Spinor::zero(); l5];
+            for i in range {
+                for (s, c) in col.iter_mut().enumerate() {
+                    *c = self
+                        .affine_at(inp, slice_len, s, i, b5, c5, true)
+                        .scale(neg_half);
+                }
+                for s_out in 0..l5 {
+                    let v = self.a_inverse_at(s_out, |s_in| col[s_in], true);
+                    // SAFETY: each (s, i) is written by exactly one task and
+                    // the index stays in bounds, as in `rho_and_diag`.
+                    unsafe { *optr.get().add(s_out * slice_len + i) = v.apply_gamma5() };
+                }
+            }
+        });
+    }
+
+    /// Last pass of the fused adjoint: `out = diag − (−½·ρ† h)`.
+    fn sub_half_rho_dagger(
+        &self,
+        out: &mut [Spinor<R>],
+        diag: &[Spinor<R>],
+        h: &[Spinor<R>],
+        slice_len: usize,
+        grain: usize,
+    ) {
+        let l5 = self.params.l5;
+        let n = h.len();
+        assert_eq!(out.len(), n);
+        assert_eq!(diag.len(), n);
+        assert_eq!(n, l5 * slice_len);
+        let (b5, c5) = (R::from_f64(self.params.b5), R::from_f64(self.params.c5));
+        let neg_half = R::from_f64(-0.5);
+        let optr = SendPtr(out.as_mut_ptr());
+        self.sweep(slice_len, grain, &|range| {
+            for i in range {
+                for s in 0..l5 {
+                    let idx = s * slice_len + i;
+                    let m = self
+                        .affine_at(h, slice_len, s, i, b5, c5, true)
+                        .scale(neg_half);
+                    // SAFETY: each (s, i) is written by exactly one task and
+                    // the index stays in bounds, as in `rho_and_diag`.
+                    unsafe { *optr.get().add(idx) = diag[idx] - m };
+                }
+            }
+        });
     }
 
     /// `out = a·in + b·shift^(†)(in)`, the shared form of `A` (`a=α, b=β`)
@@ -426,9 +519,8 @@ impl<R: Real> FifthDim<R> {
     }
 
     /// `out = A⁻¹ in` (or `(A†)⁻¹ in`), applied per 4D site as two real
-    /// `L5×L5` mat-vecs, one per chirality sector. Because the `A±` blocks
-    /// are mutual transposes, the adjoint just swaps which inverse serves
-    /// which chirality.
+    /// `L5×L5` mat-vecs, one per chirality sector (see
+    /// [`Self::a_inverse_at`]).
     fn apply_a_inverse(
         &self,
         out: &mut [Spinor<R>],
@@ -436,31 +528,28 @@ impl<R: Real> FifthDim<R> {
         slice_len: usize,
         dagger: bool,
     ) {
-        let l5 = self.params.l5;
-        let (inv_up, inv_dn) = if dagger {
-            (&self.ainv_minus, &self.ainv_plus)
-        } else {
-            (&self.ainv_plus, &self.ainv_minus)
-        };
         // Parallelize over 5D sites; gather strided s-components.
         out.par_iter_mut().enumerate().for_each(|(idx, o)| {
             let site = idx % slice_len;
             let s_out = idx / slice_len;
-            let mut acc = Spinor::zero();
-            for s_in in 0..l5 {
-                let wp = inv_up[s_out * l5 + s_in];
-                let wm = inv_dn[s_out * l5 + s_in];
-                let src = &inp[s_in * slice_len + site];
-                // Chirality-plus spins are 0,1; minus are 2,3 (γ5 diagonal).
-                acc.s[0] += src.s[0].scale(wp);
-                acc.s[1] += src.s[1].scale(wp);
-                acc.s[2] += src.s[2].scale(wm);
-                acc.s[3] += src.s[3].scale(wm);
-            }
-            *o = acc;
+            *o = self.a_inverse_at(s_out, |s_in| inp[s_in * slice_len + site], dagger);
         });
     }
 }
+
+/// AVX2-compiled twin of a [`FifthDim::sweep`] chunk: the same IEEE ops
+/// with 256-bit codegen, bit-identical results (rustc emits no FMA).
+#[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+fn sweep_chunk_avx2<F: Fn(std::ops::Range<usize>)>(body: &F, range: std::ops::Range<usize>) {
+    body(range);
+}
+
+/// Default parallel grain of the Möbius operators, in 5D spinors per chunk:
+/// small enough that the fused passes on the 4³×8, `L5 = 8` propagator
+/// lattice (2048 half-volume 5D spinors) split into many chunks across the
+/// pool, large enough that a chunk's work dwarfs its scheduling cost.
+const DEFAULT_GRAIN: usize = 64;
 
 /// Two reusable 5D staging buffers (fused-path scratch).
 type Scratch2<R> = Mutex<(Vec<Spinor<R>>, Vec<Spinor<R>>)>;
@@ -472,7 +561,9 @@ pub struct MobiusDirac<'a, R: Real, G: GaugeLinks<R>> {
     hopping: HoppingKernel<'a, R, G>,
     lattice: &'a Lattice,
     fifth: FifthDim<R>,
-    /// Parallel chunk size for the 4D stencil, set by the autotuner.
+    /// Parallel chunk size in 5D spinors, set by the autotuner: the fused
+    /// passes take `⌈grain / L5⌉` 4D sites (whole s-columns) per chunk, the
+    /// slice-by-slice reference hop `grain` sites of one slice.
     pub grain: usize,
     /// Execution strategy of `apply`; every supported variant is bit-identical.
     pub variant: DslashVariant,
@@ -489,7 +580,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
             hopping: HoppingKernel::new(lattice, gauge, true),
             lattice,
             fifth: FifthDim::new(params),
-            grain: 1024,
+            grain: DEFAULT_GRAIN,
             variant: DslashVariant::AosFused,
             scratch: Mutex::new((Vec::new(), Vec::new())),
         }
@@ -538,7 +629,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
         let (rho, diag) = &mut *guard;
         rho.resize(n, Spinor::zero());
         diag.resize(n, Spinor::zero());
-        self.fifth.rho_and_diag(rho, diag, inp, v);
+        self.fifth.rho_and_diag(rho, diag, inp, v, self.grain);
         let diag = &*diag;
         self.hopping
             .apply_full_fused_5d(out, rho, self.l5(), self.grain, &|s, x, h| {
@@ -758,12 +849,15 @@ pub struct PrecMobius<'a, R: Real, G: GaugeLinks<R>> {
     hopping: HoppingKernel<'a, R, G>,
     lattice: &'a Lattice,
     fifth: FifthDim<R>,
-    /// Parallel chunk size for the 4D stencil, set by the autotuner.
+    /// Parallel chunk size in 5D spinors, set by the autotuner: the fused
+    /// passes take `⌈grain / L5⌉` 4D sites (whole s-columns) per chunk, the
+    /// slice-by-slice reference hops `grain` sites of one slice.
     pub grain: usize,
-    /// Execution strategy of `apply`; every supported variant is bit-identical.
+    /// Execution strategy of `apply` and `apply_dagger`; every supported
+    /// variant is bit-identical.
     pub variant: DslashVariant,
-    /// Reusable 5D half-volume staging buffers for the fused path
-    /// (`ρ`-stage, hop target, precomputed diagonal).
+    /// Reusable 5D half-volume staging buffers for the fused paths
+    /// (`ρ`/`γ5` stage, hop target, precomputed diagonal).
     scratch: Scratch3<R>,
 }
 
@@ -774,7 +868,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
             hopping: HoppingKernel::new(lattice, gauge, true),
             lattice,
             fifth: FifthDim::new(params),
-            grain: 1024,
+            grain: DEFAULT_GRAIN,
             variant: DslashVariant::AosFused,
             scratch: Mutex::new((Vec::new(), Vec::new(), Vec::new())),
         }
@@ -836,7 +930,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         tmp.resize(n, Spinor::zero());
         diag.resize(n, Spinor::zero());
 
-        self.fifth.rho_and_diag(rho, diag, inp, hv);
+        self.fifth.rho_and_diag(rho, diag, inp, hv, self.grain);
         self.hopping.apply_parity_fused_5d(
             tmp,
             rho,
@@ -845,7 +939,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
             self.grain,
             &|_, _, h| h.scale(neg_half),
         );
-        self.fifth.ainv_then_rho(rho, tmp, hv);
+        self.fifth.ainv_then_rho(rho, tmp, hv, self.grain);
         let diag = &*diag;
         self.hopping.apply_parity_fused_5d(
             out,
@@ -855,6 +949,43 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
             self.grain,
             &|s, cb, h| diag[s * hv + cb] - h.scale(neg_half),
         );
+    }
+
+    /// Fused Schur adjoint `M̂† = A† − ¼ ρ†γ5 H_eo γ5 (A†)⁻¹ ρ†γ5 H_oe γ5`
+    /// in five passes over the same scratch buffers (the reference path
+    /// makes eleven, allocating six fresh vectors):
+    ///
+    /// 1. `diag ← α·ψ + β·shift†(ψ)` and `g ← γ5ψ` in one column sweep,
+    /// 2. `t ← γ5·H_e g` (5D-fused stencil, `γ5` folded into the write),
+    /// 3. `g ← γ5·(A†)⁻¹(−½·ρ†t)` column-wise,
+    /// 4. `t ← γ5·H_o g`,
+    /// 5. `out ← diag − (−½·ρ†t)` column-wise.
+    ///
+    /// `γ5` only flips signs, so every element keeps the reference
+    /// operation chain and the result is bit-identical to
+    /// [`DslashVariant::AosScalar`].
+    fn apply_dagger_fused(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
+        let hv = self.hv();
+        let n = self.vec_len();
+        assert_eq!(out.len(), n);
+        assert_eq!(inp.len(), n);
+        let gamma5 = |_: usize, _: usize, h: Spinor<R>| h.apply_gamma5();
+
+        let mut guard = self.scratch.lock();
+        let (g, t, diag) = &mut *guard;
+        g.resize(n, Spinor::zero());
+        t.resize(n, Spinor::zero());
+        diag.resize(n, Spinor::zero());
+
+        self.fifth
+            .diag_dagger_and_gamma5(diag, g, inp, hv, self.grain);
+        self.hopping
+            .apply_parity_fused_5d(t, g, Parity::Even, self.l5(), self.grain, &gamma5);
+        self.fifth
+            .rho_dagger_ainv_dagger_gamma5(g, t, hv, self.grain);
+        self.hopping
+            .apply_parity_fused_5d(t, g, Parity::Odd, self.l5(), self.grain, &gamma5);
+        self.fifth.sub_half_rho_dagger(out, diag, t, hv, self.grain);
     }
 
     /// Slice-wise checkerboarded hopping on 5D half-volume vectors.
@@ -1057,11 +1188,10 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
             *o = *o - *m;
         });
     }
-}
 
-impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecMobius<'a, R, G> {
-    fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        // M̂† = A† − M_eo† (A†)⁻¹ M_oe†, each adjoint applied explicitly.
+    /// Reference Schur adjoint `M̂† = A† − M_eo† (A†)⁻¹ M_oe†`, each adjoint
+    /// applied explicitly with separate passes and fresh vectors.
+    fn apply_dagger_reference(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
         let hv = self.hv();
         let p = &self.fifth.params;
 
@@ -1077,6 +1207,15 @@ impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecMobius<'a, R, G> {
             .for_each(|(o, m)| {
                 *o = *o - *m;
             });
+    }
+}
+
+impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecMobius<'a, R, G> {
+    fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
+        match self.variant {
+            DslashVariant::AosScalar | DslashVariant::Soa => self.apply_dagger_reference(out, inp),
+            DslashVariant::AosFused => self.apply_dagger_fused(out, inp),
+        }
     }
 }
 
@@ -1189,17 +1328,23 @@ mod tests {
         let lat = Lattice::new([4, 4, 2, 4]);
         let gauge = GaugeField::<f64>::hot(&lat, 41);
         let params = MobiusParams::standard(4, 0.1);
-        let op = PrecMobius::new(&lat, &gauge, params);
+        let mut op = PrecMobius::new(&lat, &gauge, params);
         let n = op.vec_len();
         let x = FermionField::<f64>::gaussian(n, 5).data;
         let y = FermionField::<f64>::gaussian(n, 6).data;
-        let mut my = vec![Spinor::zero(); n];
-        op.apply(&mut my, &y);
-        let mut mdag_x = vec![Spinor::zero(); n];
-        op.apply_dagger(&mut mdag_x, &x);
-        let lhs = blas::dot(&x, &my);
-        let rhs = blas::dot(&mdag_x, &y);
-        assert!((lhs - rhs).abs() < 1e-9 * lhs.abs().max(1.0));
+        for variant in [DslashVariant::AosScalar, DslashVariant::AosFused] {
+            op.variant = variant;
+            let mut my = vec![Spinor::zero(); n];
+            op.apply(&mut my, &y);
+            let mut mdag_x = vec![Spinor::zero(); n];
+            op.apply_dagger(&mut mdag_x, &x);
+            let lhs = blas::dot(&x, &my);
+            let rhs = blas::dot(&mdag_x, &y);
+            assert!(
+                (lhs - rhs).abs() < 1e-9 * lhs.abs().max(1.0),
+                "{variant:?}: ⟨x,M̂y⟩ = ⟨M̂†x,y⟩: {lhs:?} vs {rhs:?}"
+            );
+        }
     }
 
     #[test]
@@ -1334,7 +1479,7 @@ mod tests {
         );
         let mut rho = vec![Spinor::zero(); n];
         let mut diag = vec![Spinor::zero(); n];
-        fifth.rho_and_diag(&mut rho, &mut diag, &x, slice_len);
+        fifth.rho_and_diag(&mut rho, &mut diag, &x, slice_len, 16);
         assert_eq!(rho, rho_ref);
         assert_eq!(diag, diag_ref);
     }
@@ -1358,7 +1503,7 @@ mod tests {
             false,
         );
         let mut fused = vec![Spinor::zero(); n];
-        fifth.ainv_then_rho(&mut fused, &x, slice_len);
+        fifth.ainv_then_rho(&mut fused, &x, slice_len, 16);
         assert_eq!(fused, reference);
     }
 
@@ -1387,21 +1532,27 @@ mod tests {
         let mut op = PrecMobius::new(&lat, &gauge, MobiusParams::standard(4, 0.1));
         let n = op.vec_len();
         let x = FermionField::<f64>::gaussian(n, 24).data;
-        let mut reference = vec![Spinor::zero(); n];
         op.variant = DslashVariant::AosScalar;
+        let mut reference = vec![Spinor::zero(); n];
         op.apply(&mut reference, &x);
+        let mut reference_dag = vec![Spinor::zero(); n];
+        op.apply_dagger(&mut reference_dag, &x);
         for v in op.supported_variants() {
             op.variant = v;
             let mut out = vec![Spinor::zero(); n];
             op.apply(&mut out, &x);
             assert_eq!(out, reference, "variant {v:?}");
+            op.apply_dagger(&mut out, &x);
+            assert_eq!(out, reference_dag, "adjoint, variant {v:?}");
         }
-        // The fused path reuses scratch buffers across calls; a second
+        // The fused paths reuse scratch buffers across calls; a second
         // application must still be bit-identical.
         op.variant = DslashVariant::AosFused;
         let mut again = vec![Spinor::zero(); n];
         op.apply(&mut again, &x);
         assert_eq!(again, reference);
+        op.apply_dagger(&mut again, &x);
+        assert_eq!(again, reference_dag);
     }
 
     #[test]

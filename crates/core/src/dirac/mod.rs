@@ -10,6 +10,7 @@ pub use wilson::{PrecWilson, WilsonDirac};
 
 use crate::real::Real;
 use crate::spinor::Spinor;
+use parking_lot::Mutex;
 
 /// Execution strategy of a Dirac operator's `apply` — the axis the
 /// layout-aware autotuner sweeps (see [`crate::tune::tune_dslash_variant`]).
@@ -86,9 +87,13 @@ pub trait BlockDiracOp<R: Real>: BlockLinearOp<R> + DiracOp<R> {
 /// `D† D`, the Hermitian positive-definite operator CG actually inverts —
 /// "conjugate gradient on the normal equations", the paper's solver for the
 /// Möbius domain-wall discretization.
+///
+/// The intermediate `D·x` lives in one buffer reused across applies (behind
+/// a lock so `apply` keeps its `&self` solver interface); `D` overwrites it
+/// completely, so reuse cannot change a bit of the result.
 pub struct NormalOp<'a, R: Real, D: DiracOp<R>> {
     op: &'a D,
-    _marker: std::marker::PhantomData<R>,
+    tmp: Mutex<Vec<Spinor<R>>>,
 }
 
 impl<'a, R: Real, D: DiracOp<R>> NormalOp<'a, R, D> {
@@ -96,7 +101,7 @@ impl<'a, R: Real, D: DiracOp<R>> NormalOp<'a, R, D> {
     pub fn new(op: &'a D) -> Self {
         Self {
             op,
-            _marker: std::marker::PhantomData,
+            tmp: Mutex::new(Vec::new()),
         }
     }
 
@@ -112,7 +117,8 @@ impl<'a, R: Real, D: DiracOp<R>> LinearOp<R> for NormalOp<'a, R, D> {
     }
 
     fn apply(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let mut tmp = vec![Spinor::zero(); self.op.vec_len()];
+        let mut tmp = self.tmp.lock();
+        tmp.resize(self.op.vec_len(), Spinor::zero());
         self.op.apply(&mut tmp, inp);
         self.op.apply_dagger(out, &tmp);
     }
@@ -124,7 +130,8 @@ impl<'a, R: Real, D: DiracOp<R>> LinearOp<R> for NormalOp<'a, R, D> {
 
 impl<'a, R: Real, D: BlockDiracOp<R>> BlockLinearOp<R> for NormalOp<'a, R, D> {
     fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        let mut tmp = vec![Spinor::zero(); self.op.vec_len() * nrhs];
+        let mut tmp = self.tmp.lock();
+        tmp.resize(self.op.vec_len() * nrhs, Spinor::zero());
         self.op.apply_block(&mut tmp, inp, nrhs);
         self.op.apply_dagger_block(out, &tmp, nrhs);
     }

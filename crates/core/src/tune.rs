@@ -280,9 +280,9 @@ impl<'t, R: Real, Op: VariantTunable<R>> Tunable for VariantOpTunable<'t, R, Op>
         let mut candidates = Vec::new();
         for (vi, _) in self.variants.iter().enumerate() {
             let before = candidates.len();
-            // ×2 ladder: the sweet spot for the fused 5D paths sits between
-            // the ×4 rungs (e.g. grain 512 on an 8⁴ half-volume), and the
-            // sweep is cheap — a handful of applies per extra rung.
+            // ×2 ladder: the sweet spot for the fused 5D paths (whose grain
+            // counts 5D spinors per chunk) can sit between ×4 rungs, and
+            // the sweep is cheap — a handful of applies per extra rung.
             let mut grain = 64usize;
             while grain <= max_sites {
                 candidates.push(TuneParam {

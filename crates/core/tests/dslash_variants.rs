@@ -5,8 +5,11 @@
 //! invariants end to end:
 //!
 //! - every variant of one operator is **bit-identical** to its scalar AoS
-//!   reference,
-//! - results are bit-identical at pool widths 1 and 4,
+//!   reference — for `apply`, for the adjoint `apply_dagger`, and for the
+//!   normal operator `D†D` the solvers invert,
+//! - results are bit-identical at pool widths 1 and 4 (1, 2 and 4 on the
+//!   Feynman–Hellmann lattice, where the fused passes split into many
+//!   chunks),
 //! - the sharded halo-exchange kernel reproduces the dense hop to the bit
 //!   under multiple comm policies, including when the field is packed from
 //!   and unpacked to the blocked-SoA layout,
@@ -57,33 +60,71 @@ fn with_width<T: Send>(w: usize, f: impl FnOnce() -> T + Send) -> T {
         .install(f)
 }
 
-/// Apply `op` under every supported variant at pool widths 1 and 4; assert
-/// all (variant × width) results share one digest and record it under
-/// per-variant golden keys.
-fn digest_variants<R, Op>(case: &str, op: &mut Op, seed: u64, map: &mut BTreeMap<String, u64>)
-where
+/// One application an operator is digested under.
+#[derive(Clone, Copy)]
+enum Form {
+    /// `D`, golden key `{case}_{variant}`.
+    Apply,
+    /// `D†`, golden key `{case}_dagger_{variant}`.
+    Dagger,
+    /// `D†D` through [`NormalOp`], golden key `{case}_normal_{variant}`.
+    Normal,
+}
+
+impl Form {
+    fn key(self, case: &str, v: DslashVariant) -> String {
+        match self {
+            Form::Apply => format!("{case}_{}", v.name()),
+            Form::Dagger => format!("{case}_dagger_{}", v.name()),
+            Form::Normal => format!("{case}_normal_{}", v.name()),
+        }
+    }
+
+    fn run<R: Real, Op: DiracOp<R>>(self, op: &Op, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
+        match self {
+            Form::Apply => op.apply(out, inp),
+            Form::Dagger => op.apply_dagger(out, inp),
+            Form::Normal => NormalOp::new(op).apply(out, inp),
+        }
+    }
+}
+
+/// Apply `op` in every [`Form`] under every supported variant at each pool
+/// width in `widths`; assert all (variant × width) results of one form
+/// share one digest and record it under per-variant golden keys.
+fn digest_variants<R, Op>(
+    case: &str,
+    op: &mut Op,
+    seed: u64,
+    widths: &[usize],
+    map: &mut BTreeMap<String, u64>,
+) where
     R: Real,
-    Op: VariantTunable<R> + Send,
+    Op: VariantTunable<R> + DiracOp<R> + Send,
 {
     let n = op.vec_len();
     let inp = FermionField::<R>::gaussian(n, seed).data;
-    let mut reference = None;
-    for v in op.supported_variants() {
-        op.set_variant(v);
-        for w in [1usize, 4] {
-            let mut out = vec![Spinor::zero(); n];
-            let (op_ref, out_ref, inp_ref) = (&*op, &mut out, &inp);
-            with_width(w, move || op_ref.apply(out_ref, inp_ref));
-            let d = digest(&out);
-            match reference {
-                None => reference = Some(d),
-                Some(r) => assert_eq!(
-                    d, r,
-                    "{case}: variant {v:?} at width {w} diverges from the scalar reference"
-                ),
+    for form in [Form::Apply, Form::Dagger, Form::Normal] {
+        let mut reference = None;
+        for v in op.supported_variants() {
+            op.set_variant(v);
+            for &w in widths {
+                let mut out = vec![Spinor::zero(); n];
+                let (op_ref, out_ref, inp_ref) = (&*op, &mut out, &inp);
+                with_width(w, move || form.run(op_ref, out_ref, inp_ref));
+                let d = digest(&out);
+                match reference {
+                    None => reference = Some(d),
+                    Some(r) => assert_eq!(
+                        d,
+                        r,
+                        "{}: variant {v:?} at width {w} diverges from the scalar reference",
+                        form.key(case, v)
+                    ),
+                }
             }
+            map.insert(form.key(case, v), reference.unwrap());
         }
-        map.insert(format!("{case}_{}", v.name()), reference.unwrap());
     }
 }
 
@@ -101,36 +142,42 @@ fn golden_map() -> BTreeMap<String, u64> {
         "wilson_f64_full",
         &mut WilsonDirac::new(&lat, &gauge64, 0.1, true),
         71,
+        &[1, 4],
         &mut map,
     );
     digest_variants(
         "wilson_f32_full",
         &mut WilsonDirac::new(&lat, &gauge32, 0.1, true),
         72,
+        &[1, 4],
         &mut map,
     );
     digest_variants(
         "prec_wilson_f64_full",
         &mut PrecWilson::new(&lat, &gauge64, 0.1, true),
         73,
+        &[1, 4],
         &mut map,
     );
     digest_variants(
         "mobius_f64_full",
         &mut MobiusDirac::new(&lat, &gauge64, params),
         74,
+        &[1, 4],
         &mut map,
     );
     digest_variants(
         "prec_mobius_f64_full",
         &mut PrecMobius::new(&lat, &gauge64, params),
         75,
+        &[1, 4],
         &mut map,
     );
     digest_variants(
         "prec_mobius_f32_full",
         &mut PrecMobius::new(&lat, &gauge32, params),
         76,
+        &[1, 4],
         &mut map,
     );
 
@@ -141,6 +188,7 @@ fn golden_map() -> BTreeMap<String, u64> {
         "wilson_f64_recon12",
         &mut WilsonDirac::new(&lat, &r12, 0.1, true),
         71,
+        &[1, 4],
         &mut map,
     );
     let r8 = Recon8Gauge::from_gauge(&gauge64);
@@ -148,6 +196,28 @@ fn golden_map() -> BTreeMap<String, u64> {
         "wilson_f64_recon8",
         &mut WilsonDirac::new(&lat, &r8, 0.1, true),
         71,
+        &[1, 4],
+        &mut map,
+    );
+
+    // The Feynman–Hellmann propagator's geometry: a 4³×8 lattice at
+    // `L5 = 8`, on which the default grain splits every fused 5D pass into
+    // many chunks, so width 2 and 4 really run chunks on different threads.
+    let fh_lat = Lattice::new([4, 4, 4, 8]);
+    let fh64 = GaugeField::<f64>::hot(&fh_lat, 35);
+    let fh32 = fh64.cast::<f32>();
+    let fh_params = MobiusParams::standard(8, 0.1);
+    let mut fh_op64 = PrecMobius::new(&fh_lat, &fh64, fh_params);
+    assert!(
+        fh_op64.grain.div_ceil(fh_params.l5) * 4 <= fh_lat.half_volume(),
+        "the fh case must split its fused passes into several chunks"
+    );
+    digest_variants("prec_mobius_f64_fh", &mut fh_op64, 77, &[1, 2, 4], &mut map);
+    digest_variants(
+        "prec_mobius_f32_fh",
+        &mut PrecMobius::new(&fh_lat, &fh32, fh_params),
+        78,
+        &[1, 2, 4],
         &mut map,
     );
     map

@@ -88,6 +88,8 @@ pub struct ServeReport {
     pub batched_columns: u64,
     pub sharded_solves: u64,
     pub recovered: u64,
+    /// Request instances whose solve missed its tolerance: neither served
+    /// nor cached, so `served + rejected + unconverged == submitted`.
     pub unconverged: u64,
     pub audits_passed: u64,
     pub latency_p50: f64,
@@ -108,14 +110,17 @@ impl ServeReport {
     }
 }
 
+/// A request instance waiting on a dispatched solve: `(key, tenant, arrival)`.
+type Waiter = (CacheKey, u32, u64);
+
 /// A dispatched batch whose virtual completion is still in the future
 /// (the completion time itself lives in the event heap).
 struct PendingBatch {
     /// Unique keys solved by this batch, with their results.
     results: Vec<(CacheKey, Arc<SolveResult>)>,
     /// Request instances (original members and coalesced latecomers)
-    /// completed by this batch: `(tenant, arrival)`.
-    waiters: Vec<(u32, u64)>,
+    /// completed by this batch.
+    waiters: Vec<Waiter>,
 }
 
 /// The gateway. Borrow a backend and a cache; `run` drives a request
@@ -241,11 +246,24 @@ impl<'a> Gateway<'a> {
                         continue;
                     };
                     let batch = &mut pending[idx];
+                    // Only a converged answer is content-addressable: an
+                    // unconverged one is neither cached nor spilled, and its
+                    // waiters are counted unconverged, so a repeat of the
+                    // request solves again.
+                    let mut failed: Vec<CacheKey> = Vec::new();
                     for (key, result) in batch.results.drain(..) {
                         pending_keys.remove(&key);
-                        self.cache.insert(key, result);
+                        if result.converged {
+                            self.cache.insert(key, result);
+                        } else {
+                            failed.push(key);
+                        }
                     }
-                    for (tenant, arrival) in batch.waiters.drain(..) {
+                    for (key, tenant, arrival) in batch.waiters.drain(..) {
+                        if failed.contains(&key) {
+                            report.unconverged += 1;
+                            continue;
+                        }
                         latency.record((now - arrival) as f64);
                         report.served += 1;
                         report.per_tenant_served[tenant as usize] += 1;
@@ -276,7 +294,7 @@ impl<'a> Gateway<'a> {
                             c_hits.add(1);
                         }
                     } else if let Some(&idx) = pending_keys.get(&key) {
-                        pending[idx].waiters.push((tenant as u32, req.arrival));
+                        pending[idx].waiters.push((key, tenant as u32, req.arrival));
                         report.coalesced += 1;
                         c_coal.add(1);
                     } else if queued_total >= cfg.queue_capacity
@@ -360,12 +378,12 @@ impl<'a> Gateway<'a> {
         &self,
         members: &[QueuedRequest],
         report: &mut ServeReport,
-    ) -> Result<(Vec<(CacheKey, Arc<SolveResult>)>, Vec<(u32, u64)>, u64), ServiceError> {
+    ) -> Result<(Vec<(CacheKey, Arc<SolveResult>)>, Vec<Waiter>, u64), ServiceError> {
         let cfg = &self.cfg;
         let head = &members[0].req;
-        let waiters: Vec<(u32, u64)> = members
+        let waiters: Vec<Waiter> = members
             .iter()
-            .map(|m| (m.req.tenant, m.req.arrival))
+            .map(|m| (m.key, m.req.tenant, m.req.arrival))
             .collect();
         match head.policy {
             Policy::Sharded => {
@@ -378,9 +396,6 @@ impl<'a> Gateway<'a> {
                 report.sharded_solves += 1;
                 if r.recovered {
                     report.recovered += 1;
-                }
-                if !r.converged {
-                    report.unconverged += 1;
                 }
                 let service = cfg.batch_base_cost + cfg.cost_per_iteration * r.iterations as u64;
                 Ok((vec![(members[0].key, Arc::new(r))], waiters, service))
@@ -405,9 +420,6 @@ impl<'a> Gateway<'a> {
                 let mut results = Vec::with_capacity(keys.len());
                 for (k, r) in keys.into_iter().zip(solved) {
                     max_iters = max_iters.max(r.iterations as u64);
-                    if !r.converged {
-                        report.unconverged += 1;
-                    }
                     results.push((k, Arc::new(r)));
                 }
                 let service = cfg.batch_base_cost
@@ -580,6 +592,57 @@ mod tests {
                 .install(move || run(&reqs, cfg))
         };
         assert_eq!(at(1), at(4), "virtual-time report must be width-invariant");
+    }
+
+    #[test]
+    fn unconverged_solves_are_never_cached() {
+        // One CG iteration cannot meet any tolerance: the answer must be
+        // neither cached nor spilled, and a repeat must solve again.
+        let backend = Backend::new(BackendConfig {
+            n_configs: 1,
+            max_iter: 1,
+            ..BackendConfig::default()
+        })
+        .expect("backend");
+        let spill = std::env::temp_dir().join(format!("svc-unconverged-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&spill);
+        std::fs::create_dir_all(&spill).expect("spill dir");
+        // Capacity 1: a cached entry would be spilled by the next insert.
+        let cache = ResultCache::new(1, Some(spill.clone()));
+        let gateway = Gateway::new(&backend, &cache, GatewayConfig::default());
+        let req = |source_seed: u64, arrival: u64| SolveRequest {
+            tenant: 0,
+            config_id: 0,
+            source_seed,
+            mass: 0.2,
+            precision: Precision::Double,
+            policy: Policy::Dense,
+            arrival,
+        };
+
+        let first = gateway.run(&[req(5, 1)]).expect("first run");
+        assert_eq!(first.submitted, 1);
+        assert_eq!(first.unconverged, 1, "{first:?}");
+        assert_eq!(first.served, 0, "{first:?}");
+        assert_eq!(first.solved_keys, 1);
+        assert!(cache.is_empty());
+
+        // The repeat (plus a second key that would evict into the spill)
+        // solves again instead of hitting the cache.
+        let again = gateway
+            .run(&[req(5, 1), req(6, 1_000_000)])
+            .expect("repeat run");
+        assert_eq!(again.hits + again.spill_hits, 0, "{again:?}");
+        assert_eq!(again.solved_keys, 2, "{again:?}");
+        assert_eq!(again.unconverged, 2);
+        assert_eq!(
+            again.served + again.rejected + again.unconverged,
+            again.submitted
+        );
+        assert!(cache.is_empty());
+        let spilled = std::fs::read_dir(&spill).expect("read spill").count();
+        std::fs::remove_dir_all(&spill).expect("remove spill dir");
+        assert_eq!(spilled, 0, "an unconverged result reached the spill");
     }
 
     #[test]
