@@ -4,14 +4,15 @@
 //! [`ShardedHopping`] runs the Wilson hopping stencil over a
 //! [`DomainDecomposition`], exchanging face buffers between ranks through
 //! the in-memory [`Mailboxes`] transport. The per-site arithmetic is
-//! [`hop_site_block`] — the same per-column `hop_site` the single-domain
-//! [`HoppingKernel`] calls, with the site's eight links fetched once —
-//! applied to ghost spinors and gauge links gathered bit-exactly from the
-//! global field, so the output is bit-identical to the single-domain kernel
-//! at any rank grid, thread width, precision, and RHS block size. Batched
-//! ([`ShardedField::zeros_block`]) fields carry all N right-hand-sides in
-//! each halo frame: the message *count* is that of a single solve, frames
-//! just grow N× fatter.
+//! [`hop_site`] — the same function the single-domain [`HoppingKernel`]
+//! calls, with each 4D site's eight links fetched once and reused across
+//! every fifth-dimension slice and RHS column, as in the single-domain
+//! fused 5D passes — applied to ghost spinors and gauge links gathered
+//! bit-exactly from the global field, so the output is bit-identical to the
+//! single-domain kernel at any rank grid, thread width, precision, and RHS
+//! block size. Batched ([`ShardedField::zeros_block`]) fields carry all N
+//! right-hand-sides in each halo frame: the message *count* is that of a
+//! single solve, frames just grow N× fatter.
 //!
 //! The [`CommPolicy`] knobs change execution, not just a cost formula:
 //!
@@ -28,7 +29,8 @@
 //! analytic expectation (exactly-once delivery) and accumulates
 //! [`CommStats`], published to the `obs` registry as `comms.*` metrics.
 //!
-//! Halo messages travel through the CRC-framed [`FaultyTransport`], so
+//! Halo messages travel in the checksummed frames of [`FaultyTransport`]
+//! (word-wise FNV-1a, which detects any single changed word), so
 //! `apply` is fallible: with the (default) disabled fault profile every
 //! exchange succeeds on the first attempt and results are bit-identical to
 //! the fault-free kernel; with faults injected, recovered exchanges are
@@ -43,7 +45,9 @@
 use super::domain::{surviving_grid, DomainDecomposition};
 use super::fault::{CommError, CommFaultProfile, CommRetryPolicy};
 use super::transport::{CommFaultStats, CommStats, FaultyTransport, BOX_BWD, BOX_FWD};
-use crate::dirac::{hop_site_block, MobiusDirac, MobiusParams, HOPPING_FLOPS_PER_SITE};
+use crate::dirac::{
+    hop_site, Hop5dBlock, MobiusDirac, MobiusParams, SiteLinks, HOPPING_FLOPS_PER_SITE,
+};
 use crate::field::GaugeLinks;
 use crate::lattice::{volume_string, Lattice, ND};
 use crate::layout::SoaSpinorField;
@@ -100,23 +104,22 @@ impl<R: Real> ShardedField<R> {
 
     /// Shard a global s-major 5D vector (`l5 × volume` spinors) onto ranks.
     pub fn scatter(domain: &DomainDecomposition, global: &[Spinor<R>], l5: usize) -> Self {
-        Self::scatter_block(domain, global, l5, 1)
+        let mut f = Self::zeros(domain, l5);
+        f.load(domain, global);
+        f
     }
 
-    /// Shard a global s-major, RHS-innermost block
-    /// (`l5 × volume × nrhs` spinors, `global[(s*V + x)*nrhs + j]`).
-    pub fn scatter_block(
-        domain: &DomainDecomposition,
-        global: &[Spinor<R>],
-        l5: usize,
-        nrhs: usize,
-    ) -> Self {
+    /// Overwrite the rank locals with a global s-major (RHS-innermost)
+    /// vector, one rank per task. The ghost zones are left as they are:
+    /// the next exchange rewrites every one of them.
+    pub fn load(&mut self, domain: &DomainDecomposition, global: &[Spinor<R>]) {
         let v = domain.lattice().volume();
+        let (l5, nrhs, v_loc) = (self.l5, self.nrhs, self.v_loc);
         assert_eq!(global.len(), l5 * v * nrhs, "global vector length mismatch");
-        let mut f = Self::zeros_block(domain, l5, nrhs);
-        let v_loc = f.v_loc;
-        for (r, rank) in domain.ranks().iter().enumerate() {
-            let local = &mut f.locals[r];
+        assert_eq!(domain.local_volume(), v_loc, "field/domain mismatch");
+        rayon::for_each_chunk_mut(&mut self.locals, 1, |r, chunk| {
+            let local = &mut chunk[0];
+            let rank = &domain.ranks()[r];
             for s in 0..l5 {
                 for lx in 0..v_loc {
                     let g = rank.local_to_global[lx] as usize;
@@ -124,31 +127,31 @@ impl<R: Real> ShardedField<R> {
                         .copy_from_slice(&global[(s * v + g) * nrhs..(s * v + g + 1) * nrhs]);
                 }
             }
-        }
-        f
+        });
     }
 
     /// Reassemble the global s-major (RHS-innermost) vector from the rank
-    /// locals.
+    /// locals, one fifth-dimension slice per task.
     pub fn gather_into(&self, domain: &DomainDecomposition, global: &mut [Spinor<R>]) {
         let v = domain.lattice().volume();
-        let nrhs = self.nrhs;
+        let (nrhs, v_loc) = (self.nrhs, self.v_loc);
         assert_eq!(
             global.len(),
             self.l5 * v * nrhs,
             "global vector length mismatch"
         );
-        for (r, rank) in domain.ranks().iter().enumerate() {
-            let local = &self.locals[r];
-            for s in 0..self.l5 {
-                for lx in 0..self.v_loc {
+        let locals = &self.locals;
+        rayon::for_each_chunk_mut(global, v * nrhs, |base, slice| {
+            let s = base / (v * nrhs);
+            for (rank, local) in domain.ranks().iter().zip(locals) {
+                for lx in 0..v_loc {
                     let g = rank.local_to_global[lx] as usize;
-                    global[(s * v + g) * nrhs..(s * v + g + 1) * nrhs].copy_from_slice(
-                        &local[(s * self.v_loc + lx) * nrhs..(s * self.v_loc + lx + 1) * nrhs],
+                    slice[g * nrhs..(g + 1) * nrhs].copy_from_slice(
+                        &local[(s * v_loc + lx) * nrhs..(s * v_loc + lx + 1) * nrhs],
                     );
                 }
             }
-        }
+        });
     }
 
     /// Shard a blocked-SoA 5D vector (`l5 × volume` spinors in
@@ -392,10 +395,10 @@ impl<R: Real> ShardedHopping<R> {
     }
 
     /// Fill every rank's ghost zones for partitioned direction `k`: receive
-    /// and unpack the two expected frames (CRC-verified, retried, deduped by
-    /// the transport), or (GPU-Direct) gather the neighbor faces straight
-    /// out of their local storage — no wire, so immune to message faults,
-    /// but a dead peer still surfaces as [`CommError::RankLost`].
+    /// and unpack the two expected frames (checksum-verified, retried,
+    /// deduped by the transport), or (GPU-Direct) gather the neighbor faces
+    /// straight out of their local storage — no wire, so immune to message
+    /// faults, but a dead peer still surfaces as [`CommError::RankLost`].
     fn deliver_dim(
         &self,
         inp: &mut ShardedField<R>,
@@ -492,19 +495,23 @@ impl<R: Real> ShardedHopping<R> {
                 let mut n = 0u64;
                 for lx in sites {
                     let nb = &rank.neighbors[lx];
+                    // One link fetch per 4D site feeds every fifth-dimension
+                    // slice and every RHS column.
+                    let links = SiteLinks::fetch(nb, lx, &link);
+                    let cached = |site: usize, mu: usize| links.get(site, mu);
                     for s in 0..l5 {
                         let base_l = s * v_loc;
                         let base_g = s * ghost_len;
-                        let fetch = |e: usize, j: usize| {
-                            if e < v_loc {
-                                loc[(base_l + e) * nrhs + j]
-                            } else {
-                                gh[(base_g + e - v_loc) * nrhs + j]
-                            }
-                        };
-                        // One link fetch per site feeds every RHS column.
-                        let row = &mut o[(base_l + lx) * nrhs..(base_l + lx + 1) * nrhs];
-                        hop_site_block(nb, lx, apbc, &fetch, &link, row);
+                        for j in 0..nrhs {
+                            let fetch = |e: usize| {
+                                if e < v_loc {
+                                    loc[(base_l + e) * nrhs + j]
+                                } else {
+                                    gh[(base_g + e - v_loc) * nrhs + j]
+                                }
+                            };
+                            o[(base_l + lx) * nrhs + j] = hop_site(nb, lx, apbc, &fetch, &cached);
+                        }
                     }
                     n += l5 as u64;
                 }
@@ -819,13 +826,52 @@ pub fn tune_comm_policy<R: Real>(
     best
 }
 
+/// The sharded hop's operand and result, owned by [`ShardedMobius`] and
+/// reused by every apply; reshaped only when the RHS column count changes.
+/// A failed apply leaves them unspecified, which is harmless: the next
+/// apply rewrites every local (scatter, compute) and every ghost (exchange).
+struct HopFields<R: Real> {
+    inp: ShardedField<R>,
+    out: ShardedField<R>,
+}
+
+impl<R: Real> HopFields<R> {
+    fn new(domain: &DomainDecomposition, l5: usize, nrhs: usize) -> Self {
+        Self {
+            inp: ShardedField::zeros_block(domain, l5, nrhs),
+            out: ShardedField::zeros_block(domain, l5, nrhs),
+        }
+    }
+
+    /// `out = H inp` on global vectors of `nrhs` interleaved columns:
+    /// scatter, exchange and compute, gather.
+    fn hop(
+        &mut self,
+        kernel: &mut ShardedHopping<R>,
+        out: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
+        nrhs: usize,
+    ) -> Result<(), CommError> {
+        let domain = kernel.domain().clone();
+        if self.inp.nrhs != nrhs {
+            *self = Self::new(&domain, self.inp.l5, nrhs);
+        }
+        self.inp.load(&domain, inp);
+        kernel.apply(&mut self.out, &mut self.inp)?;
+        self.out.gather_into(&domain, out);
+        Ok(())
+    }
+}
+
 /// The Möbius domain-wall operator with its 4D hopping term executed by the
-/// sharded halo-exchange kernel. The fifth-dimension algebra is
-/// [`MobiusDirac`]'s own, so the full apply is bit-identical to the
-/// single-domain operator.
+/// sharded halo-exchange kernel. The fifth-dimension passes are
+/// [`MobiusDirac`]'s own fused ones ([`MobiusDirac::apply_block_with_hop`]
+/// and its adjoint), so every apply is bit-identical to the single-domain
+/// operator.
 pub struct ShardedMobius<'a, R: Real, G: GaugeLinks<R>> {
     mobius: MobiusDirac<'a, R, G>,
     hop: ShardedHopping<R>,
+    fields: HopFields<R>,
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
@@ -842,11 +888,13 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
             lattice.volume(),
             "domain/lattice mismatch"
         );
+        let fields = HopFields::new(&domain, params.l5, 1);
         // Antiperiodic-t matches MobiusDirac::new (the physical choice).
         let hop = ShardedHopping::new(domain, gauge, true, policy);
         Self {
             mobius: MobiusDirac::new(lattice, gauge, params),
             hop,
+            fields,
         }
     }
 
@@ -860,35 +908,36 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
         self.mobius.params().l5 * self.mobius.lattice().volume()
     }
 
-    /// `out = D inp` on global s-major 5D vectors: scatter the hopping
-    /// operand, run the decomposed dslash, gather — fifth-dimension algebra
-    /// untouched. On a comm failure, `out` is unspecified and the error is
-    /// surfaced for the solver's recovery machinery.
-    pub fn apply(&mut self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) -> Result<(), CommError> {
-        let Self { mobius, hop } = self;
-        let l5 = mobius.params().l5;
-        let domain = hop.domain().clone();
-        let mut err = None;
-        mobius.apply_with_hop(out, inp, &mut |o, i| {
-            if err.is_some() {
-                return;
-            }
-            let mut si = ShardedField::scatter(&domain, i, l5);
-            let mut so = ShardedField::zeros(&domain, l5);
-            match hop.apply(&mut so, &mut si) {
-                Ok(()) => so.gather_into(&domain, o),
-                Err(e) => err = Some(e),
-            }
-        });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
-    }
-
     /// Fifth-dimension extent × volume geometry parameters.
     pub fn params(&self) -> &MobiusParams {
         self.mobius.params()
+    }
+
+    /// Run one of [`MobiusDirac`]'s caller-hop applies with the sharded
+    /// hop, surfacing its first [`CommError`].
+    fn run(
+        &mut self,
+        body: impl FnOnce(&MobiusDirac<'a, R, G>, &mut Hop5dBlock<'_, R>),
+    ) -> Result<(), CommError> {
+        let Self {
+            mobius,
+            hop,
+            fields,
+        } = self;
+        let mut err = None;
+        body(mobius, &mut |o, i, nrhs| {
+            if err.is_none() {
+                err = fields.hop(hop, o, i, nrhs).err();
+            }
+        });
+        err.map_or(Ok(()), Err)
+    }
+
+    /// `out = D inp` on global s-major 5D vectors, the hopping term run by
+    /// the decomposed dslash. On a comm failure, `out` is unspecified and
+    /// the error is surfaced for the solver's recovery machinery.
+    pub fn apply(&mut self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) -> Result<(), CommError> {
+        self.run(|m, hop| m.apply_block_with_hop(out, inp, 1, hop))
     }
 
     /// `out = D† inp` with the sharded hopping term (`H† = γ5 H γ5`),
@@ -898,25 +947,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
     ) -> Result<(), CommError> {
-        let Self { mobius, hop } = self;
-        let l5 = mobius.params().l5;
-        let domain = hop.domain().clone();
-        let mut err = None;
-        mobius.apply_dagger_with_hop(out, inp, &mut |o, i| {
-            if err.is_some() {
-                return;
-            }
-            let mut si = ShardedField::scatter(&domain, i, l5);
-            let mut so = ShardedField::zeros(&domain, l5);
-            match hop.apply(&mut so, &mut si) {
-                Ok(()) => so.gather_into(&domain, o),
-                Err(e) => err = Some(e),
-            }
-        });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.run(|m, hop| m.apply_dagger_block_with_hop(out, inp, 1, hop))
     }
 
     /// Batched [`Self::apply`] on RHS-innermost interleaved vectors: one
@@ -928,25 +959,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
         inp: &[Spinor<R>],
         nrhs: usize,
     ) -> Result<(), CommError> {
-        let Self { mobius, hop } = self;
-        let l5 = mobius.params().l5;
-        let domain = hop.domain().clone();
-        let mut err = None;
-        mobius.apply_block_with_hop(out, inp, nrhs, &mut |o, i, n| {
-            if err.is_some() {
-                return;
-            }
-            let mut si = ShardedField::scatter_block(&domain, i, l5, n);
-            let mut so = ShardedField::zeros_block(&domain, l5, n);
-            match hop.apply(&mut so, &mut si) {
-                Ok(()) => so.gather_into(&domain, o),
-                Err(e) => err = Some(e),
-            }
-        });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.run(|m, hop| m.apply_block_with_hop(out, inp, nrhs, hop))
     }
 
     /// Batched [`Self::apply_dagger`], fallible like [`Self::apply_block`].
@@ -956,25 +969,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
         inp: &[Spinor<R>],
         nrhs: usize,
     ) -> Result<(), CommError> {
-        let Self { mobius, hop } = self;
-        let l5 = mobius.params().l5;
-        let domain = hop.domain().clone();
-        let mut err = None;
-        mobius.apply_dagger_block_with_hop(out, inp, nrhs, &mut |o, i, n| {
-            if err.is_some() {
-                return;
-            }
-            let mut si = ShardedField::scatter_block(&domain, i, l5, n);
-            let mut so = ShardedField::zeros_block(&domain, l5, n);
-            match hop.apply(&mut so, &mut si) {
-                Ok(()) => so.gather_into(&domain, o),
-                Err(e) => err = Some(e),
-            }
-        });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.run(|m, hop| m.apply_dagger_block_with_hop(out, inp, nrhs, hop))
     }
 }
 
@@ -1001,6 +996,8 @@ pub struct ShardedNormal<'a, R: Real, G: GaugeLinks<R>> {
     grid: [usize; ND],
     op: ShardedMobius<'a, R, G>,
     degradations: usize,
+    /// The `D` result between `D` and `D†`: one buffer for every apply,
+    /// resized when the RHS column count changes.
     tmp: Vec<Spinor<R>>,
 }
 
@@ -1017,7 +1014,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedNormal<'a, R, G> {
     ) -> Option<Self> {
         let domain = DomainDecomposition::new(lattice, grid, params.l5, gpus_per_node)?;
         let op = ShardedMobius::new(lattice, gauge, params, Arc::new(domain), policy);
-        let n = op.vec_len();
         Some(Self {
             lattice,
             gauge,
@@ -1028,7 +1024,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedNormal<'a, R, G> {
             grid,
             op,
             degradations: 0,
-            tmp: vec![Spinor::zero(); n],
+            tmp: Vec::new(),
         })
     }
 
@@ -1066,6 +1062,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> FallibleOp<R> for ShardedNormal<'a, R, G> {
     }
 
     fn apply(&mut self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) -> Result<(), CommError> {
+        self.tmp.resize(self.op.vec_len(), Spinor::zero());
         self.op.apply(&mut self.tmp, inp)?;
         self.op.apply_dagger(out, &self.tmp)
     }
@@ -1131,9 +1128,9 @@ impl<'a, R: Real, G: GaugeLinks<R>> crate::solver::BlockOp<R> for ShardedNormal<
         inp: &crate::block::BlockSpinor<R>,
     ) -> Result<(), CommError> {
         let nrhs = inp.nrhs();
-        let mut tmp = vec![Spinor::zero(); self.op.vec_len() * nrhs];
-        self.op.apply_block(&mut tmp, inp.data(), nrhs)?;
-        self.op.apply_dagger_block(out.data_mut(), &tmp, nrhs)
+        self.tmp.resize(self.op.vec_len() * nrhs, Spinor::zero());
+        self.op.apply_block(&mut self.tmp, inp.data(), nrhs)?;
+        self.op.apply_dagger_block(out.data_mut(), &self.tmp, nrhs)
     }
 
     fn flops_per_apply(&self) -> f64 {

@@ -14,7 +14,9 @@
 //! with measured timings and the `repro comms` experiment commits
 //! measured-vs-analytic columns side by side.
 
-//! Messages travel CRC-framed through [`FaultyTransport`], which can
+//! Messages travel in checksummed frames through [`FaultyTransport`]: a
+//! word-wise FNV-1a over the header and payload words, which rejects any
+//! frame differing from the sealed one in a single word. The transport can
 //! deterministically inject corruption, drops, duplicates, reordering, and
 //! latency spikes ([`CommFaultProfile`]) and heals them with
 //! NACK/retransmit + capped backoff ([`CommRetryPolicy`]); unrecoverable

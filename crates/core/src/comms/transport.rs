@@ -1,5 +1,6 @@
-//! In-memory multi-rank transport: CRC-framed mailboxes with deterministic
-//! fault injection, NACK/re-request retries, and dedup-by-sequence.
+//! In-memory multi-rank transport: checksummed frames over mailboxes, with
+//! deterministic fault injection, NACK/re-request retries, and
+//! dedup-by-sequence.
 //!
 //! Ranks exchange face buffers through `crossbeam` channels, mirroring the
 //! point-to-point structure of the MPI halo exchange: a message is addressed
@@ -11,7 +12,8 @@
 //!   recoverable condition the caller decides about.
 //! - [`FaultyTransport`] — the framed protocol over the mailboxes. Every
 //!   payload travels inside a [`Frame`] envelope (sequence number, source
-//!   rank × dim × side, FNV-1a checksum over the payload bits). The send
+//!   rank × dim × side, word-wise FNV-1a checksum over the header and
+//!   payload words — see [`Frame::compute_checksum`]). The send
 //!   path keeps the last clean frame per box in a retransmit buffer and
 //!   runs each transmission attempt through the seeded
 //!   [`CommFaultProfile`] injector; the receive path verifies the
@@ -137,8 +139,9 @@ pub struct Frame<R: Real> {
     pub mu: u8,
     /// Ghost-zone side the payload fills.
     pub side: u8,
-    /// FNV-1a-64 over (seq, src, mu, side) and every payload component's
-    /// bit pattern.
+    /// Word-wise FNV-1a-64 over (seq, src, mu, side) and every payload
+    /// component's bit pattern, in four interleaved lanes
+    /// ([`Self::compute_checksum`]).
     pub checksum: u64,
     /// The face buffer.
     pub payload: Payload<R>,
@@ -147,12 +150,11 @@ pub struct Frame<R: Real> {
 const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-fn fnv1a_u64(mut h: u64, word: u64) -> u64 {
-    for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-        h ^= (word >> shift) & 0xFF;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// One word-wise FNV-1a step: a whole 64-bit word folded by one xor and
+/// one multiply.
+#[inline(always)]
+fn fnv1a_word(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(FNV_PRIME)
 }
 
 impl<R: Real> Frame<R> {
@@ -170,23 +172,43 @@ impl<R: Real> Frame<R> {
         f
     }
 
-    /// FNV-1a-64 over the header fields and the payload component bits.
-    /// Component bits go through `to_f64` — exact for both supported
-    /// precisions, so the checksum is stable under the precision the wire
-    /// actually carries.
+    /// Word-wise FNV-1a-64 in four interleaved lanes. Every lane starts at
+    /// the FNV offset; the header words `seq`, `src` and `mu << 8 | side`
+    /// go to lanes 0–2, and each spinor's components go round-robin over
+    /// the lanes (spins 0 and 1 side by side, then 2 and 3; per colour
+    /// `re`, `im` of the first spin, `re`, `im` of the second). Each word is
+    /// folded into its lane as `h ← (h ⊕ w)·P`, and the four lane states
+    /// are folded into the result the same way. Four independent multiply
+    /// chains keep the multiplier busy where one chain would wait on each
+    /// product. Component bits go through `to_f64`, which is exact for both
+    /// supported precisions, so distinct non-NaN components give distinct
+    /// words.
+    ///
+    /// Guarantee: a frame that differs from the sealed one in exactly one
+    /// word — any bit flips within one header field or one component —
+    /// never verifies. `P` is odd, so multiplying by it is a bijection of
+    /// `u64`. In the lane holding the changed word, `w ↦ (h ⊕ w)·P` is
+    /// injective for the common prior state `h`, and every later step
+    /// `h ↦ (h ⊕ w)·P` with unchanged `w` is injective in `h`, so that
+    /// lane's final state differs while the other lanes agree; the closing
+    /// fold is injective in each lane state with the others fixed, so the
+    /// checksums differ.
     pub fn compute_checksum(&self) -> u64 {
-        let mut h = fnv1a_u64(FNV_OFFSET, self.seq);
-        h = fnv1a_u64(h, u64::from(self.src));
-        h = fnv1a_u64(h, (u64::from(self.mu) << 8) | u64::from(self.side));
+        let mut lanes = [FNV_OFFSET; 4];
+        lanes[0] = fnv1a_word(lanes[0], self.seq);
+        lanes[1] = fnv1a_word(lanes[1], u64::from(self.src));
+        lanes[2] = fnv1a_word(lanes[2], (u64::from(self.mu) << 8) | u64::from(self.side));
         for sp in &self.payload {
-            for cv in &sp.s {
-                for z in &cv.c {
-                    h = fnv1a_u64(h, z.re.to_f64().to_bits());
-                    h = fnv1a_u64(h, z.im.to_f64().to_bits());
+            for (a, b) in [(&sp.s[0], &sp.s[1]), (&sp.s[2], &sp.s[3])] {
+                for (za, zb) in a.c.iter().zip(&b.c) {
+                    lanes[0] = fnv1a_word(lanes[0], za.re.to_f64().to_bits());
+                    lanes[1] = fnv1a_word(lanes[1], za.im.to_f64().to_bits());
+                    lanes[2] = fnv1a_word(lanes[2], zb.re.to_f64().to_bits());
+                    lanes[3] = fnv1a_word(lanes[3], zb.im.to_f64().to_bits());
                 }
             }
         }
-        h
+        lanes.iter().fold(FNV_OFFSET, |h, &l| fnv1a_word(h, l))
     }
 
     /// Whether the payload still matches the checksum sealed at send time.
@@ -380,14 +402,16 @@ impl<R: Real> FaultyTransport<R> {
                 c.injected_corruptions.fetch_add(1, Ordering::Relaxed);
                 let mut bad = frame.clone();
                 if !bad.payload.is_empty() {
-                    // Flip one mantissa bit of a deterministically chosen
-                    // component; the sealed checksum no longer matches.
+                    // Flip the sign bit of a deterministically chosen
+                    // component: unlike a low mantissa bit, it survives the
+                    // round trip through every precision `R` (zero
+                    // included), so the sealed checksum no longer matches.
                     let bits = self
                         .profile
                         .decision_bits(dest, mu, side, frame.seq, attempt);
                     let k = (bits as usize) % bad.payload.len();
                     let z = &mut bad.payload[k].s[0].c[0];
-                    z.re = R::from_f64(f64::from_bits(z.re.to_f64().to_bits() ^ (1 << 17)));
+                    z.re = R::from_f64(f64::from_bits(z.re.to_f64().to_bits() ^ (1 << 63)));
                 }
                 self.mail.send(dest, mu, side, bad)
             }
@@ -552,14 +576,83 @@ pub struct CommStats {
 mod tests {
     use super::*;
 
-    fn payload(vals: &[f64]) -> Payload<f64> {
+    fn payload<R: Real>(vals: &[f64]) -> Payload<R> {
         vals.iter()
             .map(|&v| {
-                let mut s = Spinor::<f64>::zero();
-                s.s[0].c[0].re = v;
+                let mut s = Spinor::<R>::zero();
+                s.s[0].c[0].re = R::from_f64(v);
                 s
             })
             .collect()
+    }
+
+    /// Three spinors whose 72 components are all distinct, zero included.
+    fn dense_payload<R: Real>() -> Payload<R> {
+        (0..3)
+            .map(|k| {
+                let mut sp = Spinor::<R>::zero();
+                for (i, cv) in sp.s.iter_mut().enumerate() {
+                    for (c, z) in cv.c.iter_mut().enumerate() {
+                        let t = (k * 12 + i * 3 + c) as f64;
+                        z.re = R::from_f64(0.375 * t - 1.5);
+                        z.im = R::from_f64(if t == 0.0 { 0.0 } else { -1.0 / t });
+                    }
+                }
+                sp
+            })
+            .collect()
+    }
+
+    /// Flip each of the `bits` bits of every header field and every payload
+    /// component of a sealed frame, one at a time: `verify` must fail on
+    /// every flip.
+    fn assert_every_single_bit_flip_fails<R: Real>(bits: u32, flip: impl Fn(R, u32) -> R) {
+        let f = Frame::new(0x0123_4567_89AB_CDEF, 3, 2, BOX_BWD, dense_payload::<R>());
+        assert!(f.verify());
+        type Tamper<R> = dyn Fn(&mut Frame<R>, u32);
+        let header: [(&str, u32, &Tamper<R>); 5] = [
+            ("seq", 64, &|g, b| g.seq ^= 1 << b),
+            ("src", 32, &|g, b| g.src ^= 1 << b),
+            ("mu", 8, &|g, b| g.mu ^= 1 << b),
+            ("side", 8, &|g, b| g.side ^= 1 << b),
+            ("checksum", 64, &|g, b| g.checksum ^= 1 << b),
+        ];
+        for (field, width, tamper) in header {
+            for b in 0..width {
+                let mut g = f.clone();
+                tamper(&mut g, b);
+                assert!(!g.verify(), "{} frame, {field} bit {b}", R::NAME);
+            }
+        }
+        for k in 0..f.payload.len() {
+            for sp in 0..4 {
+                for c in 0..3 {
+                    for (part, pick) in [("re", false), ("im", true)] {
+                        for b in 0..bits {
+                            let mut g = f.clone();
+                            let z = &mut g.payload[k].s[sp].c[c];
+                            let x = if pick { &mut z.im } else { &mut z.re };
+                            *x = flip(*x, b);
+                            assert!(
+                                !g.verify(),
+                                "{} frame, spinor {k} s{sp} c{c} {part} bit {b}",
+                                R::NAME
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_fails_on_every_single_bit_flip() {
+        assert_every_single_bit_flip_fails::<f64>(64, |x, b| {
+            f64::from_bits(x.to_bits() ^ (1u64 << b))
+        });
+        assert_every_single_bit_flip_fails::<f32>(32, |x, b| {
+            f32::from_bits(x.to_bits() ^ (1u32 << b))
+        });
     }
 
     #[test]
@@ -581,7 +674,7 @@ mod tests {
 
     #[test]
     fn frame_checksum_catches_any_component_flip() {
-        let f = Frame::new(3, 1, 2, BOX_BWD, payload(&[1.0, -2.5, 3.25]));
+        let f = Frame::new(3, 1, 2, BOX_BWD, payload::<f64>(&[1.0, -2.5, 3.25]));
         assert!(f.verify());
         let mut bad = f.clone();
         bad.payload[1].s[2].c[1].im = 1e-300;
@@ -632,6 +725,43 @@ mod tests {
         assert_eq!(s.crc_failures, 1);
         assert_eq!(s.retries, 1);
         assert!(s.backoff_seconds > 0.0);
+    }
+
+    #[test]
+    fn f32_corruption_is_detected_and_healed_by_retransmit() {
+        // Corrupt on every attempt but the last of a three-attempt budget:
+        // each corrupted f32 frame must fail its checksum, and the clean
+        // retransmission must still get through.
+        let seed = (0..5000u64)
+            .find(|&s| {
+                let p = CommFaultProfile {
+                    corrupt_prob: 0.5,
+                    seed: s,
+                    ..CommFaultProfile::default()
+                };
+                p.draw(1, 0, BOX_FWD, 0, 0) == WireFault::Corrupt
+                    && p.draw(1, 0, BOX_FWD, 0, 1) == WireFault::Corrupt
+                    && p.draw(1, 0, BOX_FWD, 0, 2) == WireFault::Clean
+            })
+            .expect("seed exists");
+        let mut t: FaultyTransport<f32> = FaultyTransport::new(2);
+        t.set_faults(
+            CommFaultProfile {
+                corrupt_prob: 0.5,
+                seed,
+                ..CommFaultProfile::default()
+            },
+            CommRetryPolicy::default(),
+        );
+        // Zero components included: the injected flip must survive them.
+        let want = payload::<f32>(&[0.0, 1.5, -2.0, 0.0]);
+        t.send(0, 1, 0, BOX_FWD, want.clone(), 0).unwrap();
+        let got = t.recv(1, 0, BOX_FWD, 0, 0, 4).unwrap();
+        assert_eq!(got, want, "recovered payload must be the clean one");
+        let s = t.fault_stats();
+        assert_eq!(s.injected_corruptions, 2);
+        assert_eq!(s.crc_failures, 2, "every corrupted f32 frame is rejected");
+        assert_eq!(s.retries, 2);
     }
 
     #[test]

@@ -93,8 +93,44 @@ pub fn hop_site<R: Real>(
     r
 }
 
+/// The eight stencil links of one site, fetched once so that every
+/// fifth-dimension slice and RHS column hopping from that site reuses them.
+///
+/// [`hop_site`] asks for `link(x, mu)` on forward hops and
+/// `link(nb.bwd[mu], mu)` on backward ones; when a backward neighbor
+/// coincides with `x` (extent-1 direction) the forward cache is the same
+/// link, so answering by a site test reproduces the per-call fetches bit
+/// for bit.
+pub(crate) struct SiteLinks<R: Real> {
+    x: usize,
+    fwd: [Su3<R>; ND],
+    bwd: [Su3<R>; ND],
+}
+
+impl<R: Real> SiteLinks<R> {
+    /// Fetch the links of site `x` with neighbor table `nb`.
+    #[inline(always)]
+    pub(crate) fn fetch(nb: &Neighbors, x: usize, link: &impl Fn(usize, usize) -> Su3<R>) -> Self {
+        Self {
+            x,
+            fwd: std::array::from_fn(|mu| link(x, mu)),
+            bwd: std::array::from_fn(|mu| link(nb.bwd[mu] as usize, mu)),
+        }
+    }
+
+    /// The cached `link(site, mu)` for one of this site's hops.
+    #[inline(always)]
+    pub(crate) fn get(&self, site: usize, mu: usize) -> Su3<R> {
+        if site == self.x {
+            self.fwd[mu]
+        } else {
+            self.bwd[mu]
+        }
+    }
+}
+
 /// One site-row of the blocked hop. The eight links of site `x` are
-/// fetched once into locals and every RHS column reuses them — that is the
+/// fetched once and every RHS column reuses them — that is the
 /// link-traffic amortization of the batched path. Each column is then
 /// evaluated by the very same [`hop_site`], so column `j` of the output is
 /// bit-identical to a single-RHS application of that column.
@@ -110,13 +146,8 @@ pub fn hop_site_block<R: Real>(
     link: &impl Fn(usize, usize) -> Su3<R>,
     out: &mut [Spinor<R>],
 ) {
-    let fwd: [Su3<R>; ND] = std::array::from_fn(|mu| link(x, mu));
-    let bwd: [Su3<R>; ND] = std::array::from_fn(|mu| link(nb.bwd[mu] as usize, mu));
-    // `hop_site` asks for `link(x, mu)` on forward hops and
-    // `link(nb.bwd[mu], mu)` on backward ones; when a backward neighbor
-    // coincides with `x` (extent-1 direction) the forward cache is the same
-    // link, so the site test is exact.
-    let cached = |site: usize, mu: usize| if site == x { fwd[mu] } else { bwd[mu] };
+    let links = SiteLinks::fetch(nb, x, link);
+    let cached = |site: usize, mu: usize| links.get(site, mu);
     for (j, o) in out.iter_mut().enumerate() {
         *o = hop_site(nb, x, antiperiodic_t, &|e| fetch(e, j), &cached);
     }
@@ -299,10 +330,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
         let v = self.lattice.volume();
         for x in range {
             let nb = self.lattice.neighbors(x);
-            let fwd: [Su3<R>; ND] = std::array::from_fn(|mu| self.gauge.link(x, mu));
-            let bwd: [Su3<R>; ND] =
-                std::array::from_fn(|mu| self.gauge.link(nb.bwd[mu] as usize, mu));
-            let cached = |site: usize, mu: usize| if site == x { fwd[mu] } else { bwd[mu] };
+            let links = SiteLinks::fetch(nb, x, &|site, mu| self.gauge.link(site, mu));
+            let cached = |site: usize, mu: usize| links.get(site, mu);
             for s in 0..l5 {
                 let slice = &inp[s * v..(s + 1) * v];
                 let h = hop_site(nb, x, self.antiperiodic_t, &|e| slice[e], &cached);
@@ -390,10 +419,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
         for cb in range {
             let lex = sites[cb] as usize;
             let nb = self.lattice.neighbors(lex);
-            let fwd: [Su3<R>; ND] = std::array::from_fn(|mu| self.gauge.link(lex, mu));
-            let bwd: [Su3<R>; ND] =
-                std::array::from_fn(|mu| self.gauge.link(nb.bwd[mu] as usize, mu));
-            let cached = |site: usize, mu: usize| if site == lex { fwd[mu] } else { bwd[mu] };
+            let links = SiteLinks::fetch(nb, lex, &|site, mu| self.gauge.link(site, mu));
+            let cached = |site: usize, mu: usize| links.get(site, mu);
             for s in 0..l5 {
                 let slice = &inp[s * hv..(s + 1) * hv];
                 let fetch = |e: usize| slice[self.lattice.cb_index(e)];

@@ -467,32 +467,68 @@ impl<R: Real> FifthDim<R> {
         });
     }
 
-    /// Last pass of the fused adjoint: `out = diag − (−½·ρ† h)`.
-    fn sub_half_rho_dagger(
+    /// Last pass of the fused `D` with a caller-supplied hop:
+    /// `out ← diag − ½·out`, where `out` holds `H ρ(ψ)` on entry.
+    fn diag_minus_half(
         &self,
         out: &mut [Spinor<R>],
         diag: &[Spinor<R>],
-        h: &[Spinor<R>],
         slice_len: usize,
         grain: usize,
     ) {
         let l5 = self.params.l5;
-        let n = h.len();
-        assert_eq!(out.len(), n);
-        assert_eq!(diag.len(), n);
-        assert_eq!(n, l5 * slice_len);
-        let (b5, c5) = (R::from_f64(self.params.b5), R::from_f64(self.params.c5));
-        let neg_half = R::from_f64(-0.5);
+        assert_eq!(out.len(), l5 * slice_len);
+        assert_eq!(diag.len(), out.len());
+        let half = R::from_f64(0.5);
         let optr = SendPtr(out.as_mut_ptr());
         self.sweep(slice_len, grain, &|range| {
             for i in range {
                 for s in 0..l5 {
                     let idx = s * slice_len + i;
-                    let m = self
-                        .affine_at(h, slice_len, s, i, b5, c5, true)
-                        .scale(neg_half);
-                    // SAFETY: each (s, i) is written by exactly one task and
-                    // the index stays in bounds, as in `rho_and_diag`.
+                    // SAFETY: each (s, i) is read and written by exactly one
+                    // task and the index stays in bounds, as in
+                    // `rho_and_diag`.
+                    unsafe {
+                        let o = optr.get().add(idx);
+                        *o = diag[idx] - (*o).scale(half);
+                    }
+                }
+            }
+        });
+    }
+
+    /// Last pass of the fused adjoints: `out ← diag − scale·ρ†(γ5·h)`, with
+    /// the hop result `h` read from `out` itself. Each s-column of `h` is
+    /// loaded before any of its elements is overwritten, so the in-place
+    /// update sees only input values.
+    fn diag_minus_rho_dagger(
+        &self,
+        out: &mut [Spinor<R>],
+        diag: &[Spinor<R>],
+        scale: f64,
+        slice_len: usize,
+        grain: usize,
+    ) {
+        let l5 = self.params.l5;
+        assert_eq!(out.len(), l5 * slice_len);
+        assert_eq!(diag.len(), out.len());
+        let (b5, c5) = (R::from_f64(self.params.b5), R::from_f64(self.params.c5));
+        let scale = R::from_f64(scale);
+        let optr = SendPtr(out.as_mut_ptr());
+        self.sweep(slice_len, grain, &|range| {
+            let mut col = vec![Spinor::zero(); l5];
+            for i in range {
+                for (s, c) in col.iter_mut().enumerate() {
+                    // SAFETY: column `i` belongs to this task alone (`i`
+                    // ranges over disjoint chunks) and the index is in
+                    // bounds; it is read here before being written below.
+                    *c = unsafe { *optr.get().add(s * slice_len + i) }.apply_gamma5();
+                }
+                for s in 0..l5 {
+                    let idx = s * slice_len + i;
+                    // `affine_at` on the local column: slice length 1, site 0.
+                    let m = self.affine_at(&col, 1, s, 0, b5, c5, true).scale(scale);
+                    // SAFETY: as above — this task's column, in bounds.
                     unsafe { *optr.get().add(idx) = diag[idx] - m };
                 }
             }
@@ -567,8 +603,9 @@ pub struct MobiusDirac<'a, R: Real, G: GaugeLinks<R>> {
     pub grain: usize,
     /// Execution strategy of `apply`; every supported variant is bit-identical.
     pub variant: DslashVariant,
-    /// Reusable 5D staging buffers for the fused path (`ρ(ψ)` and the
-    /// precomputed diagonal `A(ψ)`).
+    /// Reusable 5D staging buffers for the fused paths: `ρ(ψ)` and the
+    /// precomputed diagonal `A(ψ)` for `D`, `A†(ψ)` and `γ5ψ` for `D†`
+    /// (grown to `nrhs` columns by the blocked applies).
     scratch: Scratch2<R>,
 }
 
@@ -637,17 +674,9 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
             });
     }
 
-    /// Apply the 4D hopping slice-by-slice on full-volume 5D vectors.
-    fn hop_5d(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let v = self.lattice.volume();
-        for s in 0..self.l5() {
-            let (o, i) = (&mut out[s * v..(s + 1) * v], &inp[s * v..(s + 1) * v]);
-            self.hopping.apply_full(o, i, self.grain);
-        }
-    }
-
     /// Blocked slice-by-slice hopping on interleaved 5D blocks
-    /// (`(s·V + x)·nrhs + j` layout — each s-slice is a contiguous 4D block).
+    /// (`(s·V + x)·nrhs + j` layout — each s-slice is a contiguous 4D block;
+    /// `nrhs = 1` is a plain 5D vector).
     fn hop_5d_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         let vb = self.lattice.volume() * nrhs;
         for s in 0..self.l5() {
@@ -657,87 +686,27 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
     }
 }
 
-/// Caller-supplied 4D hopping term acting on full 5D (`L5 × V`, s-major)
-/// vectors: `hop(out, inp)`.
-pub type Hop5d<'h, R> = dyn FnMut(&mut [Spinor<R>], &[Spinor<R>]) + 'h;
-
 /// Caller-supplied *blocked* 4D hopping term on interleaved 5D blocks:
 /// `hop(out, inp, nrhs)` with `(s·V + x)·nrhs + j` layout.
 pub type Hop5dBlock<'h, R> = dyn FnMut(&mut [Spinor<R>], &[Spinor<R>], usize) + 'h;
 
 impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
-    /// `out = A(inp) − ½ hop(ρ(inp))` with the 4D hopping term supplied by
-    /// the caller: `hop(out, inp)` receives full 5D (`L5 × V`, s-major)
-    /// vectors. The fifth-dimension algebra (`ρ`, `A`, the halving) is
-    /// applied identically to [`LinearOp::apply`], so any `hop` that is
-    /// bit-identical to the bound single-domain kernel — e.g. the sharded
-    /// halo-exchange dslash in [`crate::comms`] — yields a bit-identical
-    /// Möbius application.
-    pub fn apply_with_hop(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], hop: &mut Hop5d<'_, R>) {
-        let v = self.lattice.volume();
-        let p = &self.fifth.params;
-        let n = self.vec_len();
-        assert_eq!(out.len(), n);
-        assert_eq!(inp.len(), n);
-
-        // ρ(ψ) then H ρ(ψ).
-        let mut rho = vec![Spinor::zero(); n];
-        self.fifth.affine_shift(&mut rho, inp, v, p.b5, p.c5, false);
-        let mut hrho = vec![Spinor::zero(); n];
-        hop(&mut hrho, &rho);
-
-        // A(ψ) − ½ H ρ(ψ).
-        self.fifth
-            .affine_shift(out, inp, v, p.alpha(), p.beta(), false);
-        let half = R::from_f64(0.5);
-        out.par_iter_mut().zip(hrho.par_iter()).for_each(|(o, h)| {
-            *o = *o - h.scale(half);
-        });
-    }
-
-    /// Adjoint application with a caller-supplied 4D hopping term:
-    /// `out = A†(inp) − ½ ρ†(γ5 hop(γ5 inp))`, using `H† = γ5 H γ5`. The
-    /// fifth-dimension algebra matches [`DiracOp::apply_dagger`] exactly, so
-    /// a `hop` bit-identical to the bound kernel yields a bit-identical
-    /// adjoint — the sharded normal operator [`crate::comms::ShardedNormal`]
-    /// relies on this for checkpoint-exact restarts.
-    pub fn apply_dagger_with_hop(
-        &self,
-        out: &mut [Spinor<R>],
-        inp: &[Spinor<R>],
-        hop: &mut Hop5d<'_, R>,
-    ) {
-        let v = self.lattice.volume();
-        let p = &self.fifth.params;
-        let n = self.vec_len();
-        assert_eq!(out.len(), n);
-        assert_eq!(inp.len(), n);
-
-        // h = γ5 H γ5 ψ.
-        let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
-        let mut h = vec![Spinor::zero(); n];
-        hop(&mut h, &g5in);
-        h.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
-
-        // ρ† h.
-        let mut rho_h = vec![Spinor::zero(); n];
-        self.fifth.affine_shift(&mut rho_h, &h, v, p.b5, p.c5, true);
-
-        // A† ψ − ½ ρ† h.
-        self.fifth
-            .affine_shift(out, inp, v, p.alpha(), p.beta(), true);
-        let half = R::from_f64(0.5);
-        out.par_iter_mut().zip(rho_h.par_iter()).for_each(|(o, r)| {
-            *o = *o - r.scale(half);
-        });
-    }
-
-    /// Blocked `out = A(inp) − ½ hop(ρ(inp))` on `nrhs` interleaved
-    /// right-hand-sides. The fifth-dimension ops act per `(s, 4D-site)`
-    /// element, so running them with slice length `V·nrhs` on the
-    /// interleaved block applies the identical scalar arithmetic to every
-    /// column — column `j` is bit-identical to [`Self::apply_with_hop`] on
-    /// that column alone (given a `hop` with the same property).
+    /// `out = A(inp) − ½ hop(ρ(inp))` on `nrhs` interleaved right-hand-sides
+    /// (`nrhs = 1`: plain 5D vectors) with the 4D hopping term supplied by
+    /// the caller, in three passes over the reused scratch:
+    ///
+    /// 1. `ρ ← b5·ψ + c5·shift(ψ)` and `diag ← α·ψ + β·shift(ψ)` in one
+    ///    column sweep,
+    /// 2. `out ← hop(ρ)`,
+    /// 3. `out ← diag − ½·out`.
+    ///
+    /// The fifth-dimension passes act per `(s, 4D-site)` element, so running
+    /// them with slice length `V·nrhs` applies the identical scalar
+    /// arithmetic to every column; each element keeps the operation chain
+    /// of the unfused reference, so any `hop` bit-identical to the bound
+    /// single-domain kernel — e.g. the sharded halo-exchange dslash in
+    /// [`crate::comms`] — makes column `j` bit-identical to the single-RHS
+    /// [`DslashVariant::AosScalar`] apply of that column.
     pub fn apply_block_with_hop(
         &self,
         out: &mut [Spinor<R>],
@@ -746,27 +715,31 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
         hop: &mut Hop5dBlock<'_, R>,
     ) {
         let vb = self.lattice.volume() * nrhs;
-        let p = &self.fifth.params;
         let n = self.vec_len() * nrhs;
         assert_eq!(out.len(), n);
         assert_eq!(inp.len(), n);
 
-        let mut rho = vec![Spinor::zero(); n];
-        self.fifth
-            .affine_shift(&mut rho, inp, vb, p.b5, p.c5, false);
-        let mut hrho = vec![Spinor::zero(); n];
-        hop(&mut hrho, &rho, nrhs);
-
-        self.fifth
-            .affine_shift(out, inp, vb, p.alpha(), p.beta(), false);
-        let half = R::from_f64(0.5);
-        out.par_iter_mut().zip(hrho.par_iter()).for_each(|(o, h)| {
-            *o = *o - h.scale(half);
-        });
+        let mut guard = self.scratch.lock();
+        let (rho, diag) = &mut *guard;
+        rho.resize(n, Spinor::zero());
+        diag.resize(n, Spinor::zero());
+        self.fifth.rho_and_diag(rho, diag, inp, vb, self.grain);
+        hop(out, rho, nrhs);
+        self.fifth.diag_minus_half(out, diag, vb, self.grain);
     }
 
-    /// Blocked adjoint with a caller-supplied blocked hopping term;
-    /// column-wise bit-identical to [`Self::apply_dagger_with_hop`].
+    /// Adjoint `out = A†(inp) − ½ ρ†(γ5 hop(γ5 inp))` (`H† = γ5 H γ5`) with a
+    /// caller-supplied hopping term, in three passes over the reused
+    /// scratch:
+    ///
+    /// 1. `diag ← α·ψ + β·shift†(ψ)` and `g ← γ5ψ` in one column sweep,
+    /// 2. `out ← hop(g)`,
+    /// 3. `out ← diag − ½·ρ†(γ5·out)` column-wise, in place.
+    ///
+    /// `γ5` only flips signs, so column `j` is bit-identical to the
+    /// single-RHS [`DslashVariant::AosScalar`] adjoint of that column —
+    /// the sharded normal operator [`crate::comms::ShardedNormal`] relies
+    /// on this for checkpoint-exact restarts.
     pub fn apply_dagger_block_with_hop(
         &self,
         out: &mut [Spinor<R>],
@@ -775,20 +748,68 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
         hop: &mut Hop5dBlock<'_, R>,
     ) {
         let vb = self.lattice.volume() * nrhs;
+        let n = self.vec_len() * nrhs;
+        assert_eq!(out.len(), n);
+        assert_eq!(inp.len(), n);
+
+        let mut guard = self.scratch.lock();
+        let (diag, g) = &mut *guard;
+        diag.resize(n, Spinor::zero());
+        g.resize(n, Spinor::zero());
+        self.fifth
+            .diag_dagger_and_gamma5(diag, g, inp, vb, self.grain);
+        hop(out, g, nrhs);
+        self.fifth
+            .diag_minus_rho_dagger(out, diag, 0.5, vb, self.grain);
+    }
+
+    /// Reference `D` ([`DslashVariant::AosScalar`]): separate algebra
+    /// passes around the slice-by-slice hop, each intermediate in a fresh
+    /// vector. The oracle the fused paths are pinned against.
+    fn apply_reference(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+        let vb = self.lattice.volume() * nrhs;
         let p = &self.fifth.params;
         let n = self.vec_len() * nrhs;
         assert_eq!(out.len(), n);
         assert_eq!(inp.len(), n);
 
+        // ρ(ψ) then H ρ(ψ).
+        let mut rho = vec![Spinor::zero(); n];
+        self.fifth
+            .affine_shift(&mut rho, inp, vb, p.b5, p.c5, false);
+        let mut hrho = vec![Spinor::zero(); n];
+        self.hop_5d_block(&mut hrho, &rho, nrhs);
+
+        // A(ψ) − ½ H ρ(ψ).
+        self.fifth
+            .affine_shift(out, inp, vb, p.alpha(), p.beta(), false);
+        let half = R::from_f64(0.5);
+        out.par_iter_mut().zip(hrho.par_iter()).for_each(|(o, h)| {
+            *o = *o - h.scale(half);
+        });
+    }
+
+    /// Reference `D† = A† − ½ ρ† γ5 H γ5`, unfused like
+    /// [`Self::apply_reference`].
+    fn apply_dagger_reference(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+        let vb = self.lattice.volume() * nrhs;
+        let p = &self.fifth.params;
+        let n = self.vec_len() * nrhs;
+        assert_eq!(out.len(), n);
+        assert_eq!(inp.len(), n);
+
+        // h = γ5 H γ5 ψ.
         let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
         let mut h = vec![Spinor::zero(); n];
-        hop(&mut h, &g5in, nrhs);
+        self.hop_5d_block(&mut h, &g5in, nrhs);
         h.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
 
+        // ρ† h.
         let mut rho_h = vec![Spinor::zero(); n];
         self.fifth
             .affine_shift(&mut rho_h, &h, vb, p.b5, p.c5, true);
 
+        // A† ψ − ½ ρ† h.
         self.fifth
             .affine_shift(out, inp, vb, p.alpha(), p.beta(), true);
         let half = R::from_f64(0.5);
@@ -796,17 +817,42 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
             *o = *o - r.scale(half);
         });
     }
+
+    /// Fused `D†` on one vector: the passes of
+    /// [`Self::apply_dagger_block_with_hop`] around the 5D-fused stencil,
+    /// which reuses each site's links across the whole s-extent.
+    fn apply_dagger_fused(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
+        let (l5, grain) = (self.l5(), self.grain);
+        self.apply_dagger_block_with_hop(out, inp, 1, &mut |o, i, _| {
+            self.hopping
+                .apply_full_fused_5d(o, i, l5, grain, &|_, _, h| h)
+        });
+    }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> BlockLinearOp<R> for MobiusDirac<'a, R, G> {
     fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        self.apply_block_with_hop(out, inp, nrhs, &mut |o, i, n| self.hop_5d_block(o, i, n));
+        match self.variant {
+            DslashVariant::AosScalar | DslashVariant::Soa => self.apply_reference(out, inp, nrhs),
+            DslashVariant::AosFused => {
+                self.apply_block_with_hop(out, inp, nrhs, &mut |o, i, n| self.hop_5d_block(o, i, n))
+            }
+        }
     }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> BlockDiracOp<R> for MobiusDirac<'a, R, G> {
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        self.apply_dagger_block_with_hop(out, inp, nrhs, &mut |o, i, n| self.hop_5d_block(o, i, n));
+        match self.variant {
+            DslashVariant::AosScalar | DslashVariant::Soa => {
+                self.apply_dagger_reference(out, inp, nrhs)
+            }
+            DslashVariant::AosFused => {
+                self.apply_dagger_block_with_hop(out, inp, nrhs, &mut |o, i, n| {
+                    self.hop_5d_block(o, i, n)
+                })
+            }
+        }
     }
 }
 
@@ -819,9 +865,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for MobiusDirac<'a, R, G> {
         match self.variant {
             // SoA is not supported on s-major 5D vectors; fall back to the
             // reference path (bit-identical anyway).
-            DslashVariant::AosScalar | DslashVariant::Soa => {
-                self.apply_with_hop(out, inp, &mut |o, i| self.hop_5d(o, i));
-            }
+            DslashVariant::AosScalar | DslashVariant::Soa => self.apply_reference(out, inp, 1),
             DslashVariant::AosFused => self.apply_fused(out, inp),
         }
     }
@@ -839,7 +883,12 @@ impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for MobiusDirac<'a, R, G> {
         // hopping does not commute with the chirality-projected s-shift), so
         // — like QUDA's Mdag — the adjoint is applied explicitly:
         // D† = A† − ½ ρ† H† with H† = γ5 H γ5.
-        self.apply_dagger_with_hop(out, inp, &mut |o, i| self.hop_5d(o, i));
+        match self.variant {
+            DslashVariant::AosScalar | DslashVariant::Soa => {
+                self.apply_dagger_reference(out, inp, 1)
+            }
+            DslashVariant::AosFused => self.apply_dagger_fused(out, inp),
+        }
     }
 }
 
@@ -958,8 +1007,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
     /// 1. `diag ← α·ψ + β·shift†(ψ)` and `g ← γ5ψ` in one column sweep,
     /// 2. `t ← γ5·H_e g` (5D-fused stencil, `γ5` folded into the write),
     /// 3. `g ← γ5·(A†)⁻¹(−½·ρ†t)` column-wise,
-    /// 4. `t ← γ5·H_o g`,
-    /// 5. `out ← diag − (−½·ρ†t)` column-wise.
+    /// 4. `out ← H_o g`,
+    /// 5. `out ← diag − (−½·ρ†(γ5·out))` column-wise, in place.
     ///
     /// `γ5` only flips signs, so every element keeps the reference
     /// operation chain and the result is bit-identical to
@@ -983,9 +1032,16 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
             .apply_parity_fused_5d(t, g, Parity::Even, self.l5(), self.grain, &gamma5);
         self.fifth
             .rho_dagger_ainv_dagger_gamma5(g, t, hv, self.grain);
-        self.hopping
-            .apply_parity_fused_5d(t, g, Parity::Odd, self.l5(), self.grain, &gamma5);
-        self.fifth.sub_half_rho_dagger(out, diag, t, hv, self.grain);
+        self.hopping.apply_parity_fused_5d(
+            out,
+            g,
+            Parity::Odd,
+            self.l5(),
+            self.grain,
+            &|_, _, h| h,
+        );
+        self.fifth
+            .diag_minus_rho_dagger(out, diag, -0.5, hv, self.grain);
     }
 
     /// Slice-wise checkerboarded hopping on 5D half-volume vectors.
@@ -1514,14 +1570,32 @@ mod tests {
         let mut op = MobiusDirac::new(&lat, &gauge, MobiusParams::standard(6, 0.1));
         let n = op.vec_len();
         let x = FermionField::<f64>::gaussian(n, 23).data;
-        let mut reference = vec![Spinor::zero(); n];
+        let y = FermionField::<f64>::gaussian(n, 26).data;
+        let block = crate::block::BlockSpinor::from_columns(&[x.clone(), y.clone()]);
         op.variant = DslashVariant::AosScalar;
+        let mut reference = vec![Spinor::zero(); n];
         op.apply(&mut reference, &x);
+        let mut reference_dag = vec![Spinor::zero(); n];
+        op.apply_dagger(&mut reference_dag, &x);
+        let mut reference_dag_y = vec![Spinor::zero(); n];
+        op.apply_dagger(&mut reference_dag_y, &y);
+        // Twice per variant: the fused paths reuse (and, for the block,
+        // regrow) their scratch across calls.
         for v in op.supported_variants() {
             op.variant = v;
-            let mut out = vec![Spinor::zero(); n];
-            op.apply(&mut out, &x);
-            assert_eq!(out, reference, "variant {v:?}");
+            for _ in 0..2 {
+                let mut out = vec![Spinor::zero(); n];
+                op.apply(&mut out, &x);
+                assert_eq!(out, reference, "variant {v:?}");
+                op.apply_dagger(&mut out, &x);
+                assert_eq!(out, reference_dag, "adjoint, variant {v:?}");
+                let mut out_block = crate::block::BlockSpinor::zeros(n, 2);
+                op.apply_block(out_block.data_mut(), block.data(), 2);
+                assert_eq!(out_block.col(0), reference, "block, variant {v:?}");
+                op.apply_dagger_block(out_block.data_mut(), block.data(), 2);
+                assert_eq!(out_block.col(0), reference_dag, "block adjoint, {v:?}");
+                assert_eq!(out_block.col(1), reference_dag_y, "block adjoint, {v:?}");
+            }
         }
     }
 
@@ -1589,7 +1663,7 @@ mod tests {
         op.fifth
             .affine_shift(&mut expect, &psi, v, params.alpha(), params.beta(), false);
         let mut hpsi = vec![Spinor::zero(); n];
-        op.hop_5d(&mut hpsi, &psi);
+        op.hop_5d_block(&mut hpsi, &psi, 1);
         for i in 0..n {
             expect[i] = expect[i] - hpsi[i].scale(0.5);
         }

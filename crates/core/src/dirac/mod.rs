@@ -4,8 +4,9 @@ mod hopping;
 mod mobius;
 mod wilson;
 
+pub(crate) use hopping::SiteLinks;
 pub use hopping::{hop_site, hop_site_block, HoppingKernel, HOPPING_FLOPS_PER_SITE};
-pub use mobius::{MobiusDirac, MobiusParams, PrecMobius};
+pub use mobius::{Hop5dBlock, MobiusDirac, MobiusParams, PrecMobius};
 pub use wilson::{PrecWilson, WilsonDirac};
 
 use crate::real::Real;

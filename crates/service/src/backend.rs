@@ -100,6 +100,19 @@ fn content_hash(gauge: &GaugeField<f64>) -> u64 {
     h
 }
 
+/// A quark mass the solvers can run with: finite and not negative.
+/// Anything else is a [`ServiceError::Config`], raised before any solve
+/// (a NaN mass would otherwise run a NaN Möbius or Wilson solve).
+pub fn check_mass(mass: f64) -> Result<f64, ServiceError> {
+    if mass.is_finite() && mass >= 0.0 {
+        Ok(mass)
+    } else {
+        Err(ServiceError::Config(format!(
+            "quark mass {mass} is not a finite non-negative number"
+        )))
+    }
+}
+
 impl Backend {
     /// Generate `cfg.n_configs` hot configurations and hash their content.
     pub fn new(cfg: BackendConfig) -> Result<Self, ServiceError> {
@@ -173,8 +186,8 @@ impl Backend {
         precision: Precision,
         seeds: &[u64],
     ) -> Result<Vec<SolveResult>, ServiceError> {
+        let mass = check_mass(f64::from_bits(mass_bits))?;
         let gauge = self.gauge(config_id)?;
-        let mass = f64::from_bits(mass_bits);
         let d = WilsonDirac::new(&self.lat, gauge, mass, true);
         let a = NormalOp::new(&d);
         let cols: Vec<Vec<Spinor<f64>>> = seeds
@@ -207,8 +220,8 @@ impl Backend {
         precision: Precision,
         seed: u64,
     ) -> Result<SolveResult, ServiceError> {
+        let mass = check_mass(f64::from_bits(mass_bits))?;
         let gauge = self.gauge(config_id)?;
-        let mass = f64::from_bits(mass_bits);
         let d = WilsonDirac::new(&self.lat, gauge, mass, true);
         let a = NormalOp::new(&d);
         let b = self.source(seed, Policy::Dense);
@@ -233,8 +246,8 @@ impl Backend {
         precision: Precision,
         seed: u64,
     ) -> Result<SolveResult, ServiceError> {
+        let mass = check_mass(f64::from_bits(mass_bits))?;
         let gauge = self.gauge(config_id)?;
-        let mass = f64::from_bits(mass_bits);
         let params = MobiusParams::standard(self.cfg.l5, mass);
         let b = self.source(seed, Policy::Sharded);
         let mut x = vec![Spinor::zero(); b.len()];
@@ -325,6 +338,34 @@ mod tests {
             );
             assert_eq!(batch[j].solution, solo.solution, "column {j} bits differ");
         }
+    }
+
+    #[test]
+    fn non_finite_or_negative_mass_is_a_config_error() {
+        let be = backend();
+        for mass in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.1] {
+            let bits = mass.to_bits();
+            let is_config = |r: Result<(), ServiceError>| matches!(r, Err(ServiceError::Config(_)));
+            assert!(
+                is_config(
+                    be.solve_dense_batch(0, bits, Precision::Sloppy, &[501])
+                        .map(drop)
+                ),
+                "dense batch, mass {mass}"
+            );
+            assert!(
+                is_config(
+                    be.solve_dense_solo(0, bits, Precision::Sloppy, 501)
+                        .map(drop)
+                ),
+                "dense solo, mass {mass}"
+            );
+            assert!(
+                is_config(be.solve_sharded(0, bits, Precision::Sloppy, 501).map(drop)),
+                "sharded, mass {mass}"
+            );
+        }
+        assert_eq!(check_mass(0.0).ok(), Some(0.0), "the chiral limit is valid");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! exactly the property the fairness test pins: a noisy-neighbour tenant
 //! cannot starve the quiet ones.
 
-use crate::backend::{Backend, SolveResult};
+use crate::backend::{check_mass, Backend, SolveResult};
 use crate::batch::{drain_compatible, BatchClass, QueuedRequest};
 use crate::cache::ResultCache;
 use crate::error::ServiceError;
@@ -165,8 +165,14 @@ impl<'a> Gateway<'a> {
     /// mismatch aborts the run with [`ServiceError::Audit`] — the service
     /// refuses to keep serving answers it cannot prove content-addressed.
     ///
+    /// A request with a non-finite or negative mass fails the whole run
+    /// with [`ServiceError::Config`] before anything is solved.
+    ///
     /// [`cg`]: lqcd_core::solver::cg
     pub fn run(&self, requests: &[SolveRequest]) -> Result<ServeReport, ServiceError> {
+        for req in requests {
+            check_mass(req.mass)?;
+        }
         let cfg = &self.cfg;
         let reg = Registry::current();
         let latency = reg.histogram("serve.latency_ticks", &exponential_bounds(1.0, 2.0, 28));
@@ -643,6 +649,41 @@ mod tests {
         let spilled = std::fs::read_dir(&spill).expect("read spill").count();
         std::fs::remove_dir_all(&spill).expect("remove spill dir");
         assert_eq!(spilled, 0, "an unconverged result reached the spill");
+    }
+
+    #[test]
+    fn invalid_mass_fails_the_run_before_any_solve() {
+        let backend = Backend::new(BackendConfig {
+            n_configs: 1,
+            ..BackendConfig::default()
+        })
+        .expect("backend");
+        let cache = ResultCache::new(4, None);
+        let gateway = Gateway::new(&backend, &cache, GatewayConfig::default());
+        let req = |mass: f64, arrival: u64| SolveRequest {
+            tenant: 0,
+            config_id: 0,
+            source_seed: 5,
+            mass,
+            precision: Precision::Sloppy,
+            policy: Policy::Dense,
+            arrival,
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.2] {
+            // A valid request ahead of the bad one must not be solved either.
+            let reg = Registry::new();
+            let r = {
+                let _scope = reg.install_scoped();
+                gateway.run(&[req(0.2, 1), req(bad, 2)])
+            };
+            assert!(
+                matches!(r, Err(ServiceError::Config(_))),
+                "mass {bad}: {r:?}"
+            );
+            let solves = reg.counter("solver.cg_block.block_solves").get();
+            assert_eq!(solves, 0, "mass {bad}: a solve ran");
+            assert!(cache.is_empty(), "mass {bad}");
+        }
     }
 
     #[test]
