@@ -146,6 +146,32 @@ fn save_load_file_round_trip() {
 }
 
 #[test]
+fn merge_json_skips_legacy_variant_entries() {
+    // A cache written before the layout axis was retired: a grain entry
+    // (`"aos"`) and, after it, a variant-sweep entry for the same kernel
+    // whose `policy` is an implementation index. Without the skip the
+    // second would overwrite the first under the now layout-free key.
+    let legacy = r#"[
+      {"name": "quad", "volume": "v", "aux": "", "nrhs": 1, "layout": "aos",
+       "recon": "full", "grain": 256, "block": 64, "policy": 3,
+       "seconds": 0.001, "gflops": 1.0, "candidates_swept": 6},
+      {"name": "quad", "volume": "v", "aux": "", "nrhs": 1, "layout": "variant",
+       "recon": "full", "grain": 64, "block": 64, "policy": 2,
+       "seconds": 0.002, "gflops": 0.5, "candidates_swept": 18}
+    ]"#;
+    let tuner = Tuner::new();
+    assert_eq!(tuner.merge_json(legacy).expect("valid json"), 1);
+    assert_eq!(tuner.len(), 1);
+
+    let mut t = QuadraticCost::new("quad", 5, 9);
+    let p = tuner.tune(&mut t);
+    assert!(t.runs.is_empty(), "the aos entry must hit without a sweep");
+    assert_eq!((p.grain, p.policy), (256, 3));
+    assert_eq!(tuner.stats().hits, 1);
+    assert_eq!(tuner.stats().misses, 0);
+}
+
+#[test]
 fn merge_json_rejects_garbage() {
     let tuner = Tuner::new();
     assert!(tuner.merge_json("not json at all").is_err());

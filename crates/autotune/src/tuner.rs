@@ -37,8 +37,8 @@ struct Inner {
 
 /// Deterministic ordering over every key axis, shared by the JSON dump and
 /// the human-readable summary.
-fn sort_key(k: &TuneKey) -> (&String, &String, &String, usize, &String, &String) {
-    (&k.name, &k.volume, &k.aux, k.nrhs, &k.layout, &k.recon)
+fn sort_key(k: &TuneKey) -> (&String, &String, &String, usize, &String) {
+    (&k.name, &k.volume, &k.aux, k.nrhs, &k.recon)
 }
 
 /// The autotuner cache.
@@ -200,7 +200,6 @@ impl Tuner {
                         ("volume", Json::from(k.volume.as_str())),
                         ("aux", Json::from(k.aux.as_str())),
                         ("nrhs", Json::from(k.nrhs)),
-                        ("layout", Json::from(k.layout.as_str())),
                         ("recon", Json::from(k.recon.as_str())),
                         ("grain", Json::from(e.param.grain)),
                         ("block", Json::from(e.param.block)),
@@ -216,7 +215,13 @@ impl Tuner {
     }
 
     /// Restore a cache previously produced by `to_json`, merging into the
-    /// current cache (disk entries win on key collision).
+    /// current cache (disk entries win on key collision). Returns the
+    /// number of entries merged.
+    ///
+    /// Entries whose `layout` is present and not `"aos"` are skipped: they
+    /// were written by a retired sweep over alternative dslash
+    /// implementations, whose `policy` field holds an implementation index
+    /// that must not be read back as a grain-tuning entry.
     pub fn merge_json(&self, json: &str) -> Result<usize, JsonError> {
         let bad = |msg: &str| JsonError {
             offset: 0,
@@ -228,6 +233,13 @@ impl Tuner {
             .ok_or_else(|| bad("tune cache: expected array"))?;
         let mut entries = Vec::with_capacity(items.len());
         for item in items {
+            if item
+                .get("layout")
+                .and_then(Json::as_str)
+                .is_some_and(|layout| layout != "aos")
+            {
+                continue;
+            }
             let s = |f: &str| {
                 item.get(f)
                     .and_then(Json::as_str)
@@ -246,14 +258,9 @@ impl Tuner {
                     .ok_or_else(|| bad(&format!("tune cache: missing {f}")))
             };
             // Pre-batching cache files have no `nrhs` (single-RHS); files
-            // predating the layout/reconstruction axes likewise read as
-            // AoS-layout, full-storage entries.
+            // predating the reconstruction axis likewise read as
+            // full-storage entries.
             let nrhs = item.get("nrhs").and_then(Json::as_u64).unwrap_or(1) as usize;
-            let layout = item
-                .get("layout")
-                .and_then(Json::as_str)
-                .unwrap_or("aos")
-                .to_string();
             let recon = item
                 .get("recon")
                 .and_then(Json::as_str)
@@ -262,7 +269,6 @@ impl Tuner {
             entries.push((
                 TuneKey::new(s("name")?, s("volume")?, s("aux")?)
                     .with_nrhs(nrhs)
-                    .with_layout(layout)
                     .with_recon(recon),
                 TuneEntry {
                     param: TuneParam {

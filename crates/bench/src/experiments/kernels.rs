@@ -15,10 +15,10 @@
 //! standard per-site BLAS/contraction formulas. Both are documented next to
 //! each kernel below so the derived GiB/s and Gflop/s are auditable.
 //!
-//! Before timing, the dslash operators are run through
-//! [`tune_dslash_variant`], so each dslash row reports the execution
-//! variant (`aos` / `aos_fused` / `soa`) the layout-aware autotuner picked
-//! on this machine. Each row also carries its arithmetic intensity
+//! Before timing, each dslash operator's parallel grain is tuned with
+//! [`tune_operator`], so the dslash rows time the operators' one production
+//! path at the grain the solvers would use. Each row also carries its
+//! arithmetic intensity
 //! (flops/byte, from the same traffic model) and its width-1 bandwidth as a
 //! percentage of a STREAM-like triad bound measured by the harness itself,
 //! so compute-bound and bandwidth-bound kernels are distinguishable at a
@@ -33,8 +33,9 @@ use std::time::Instant;
 /// Bench JSON schema version. Bump whenever `BENCH_kernels.json` gains,
 /// loses, or renames a field, and regenerate the committed file (checked by
 /// `repro bench --check-schema`). v2: per-kernel `variant`,
-/// `arith_intensity`, `pct_stream_w1`; config `stream_gib_s_w1`.
-pub const BENCH_SCHEMA_VERSION: f64 = 2.0;
+/// `arith_intensity`, `pct_stream_w1`; config `stream_gib_s_w1`. v3:
+/// `variant` dropped (every operator has one execution path).
+pub const BENCH_SCHEMA_VERSION: f64 = 3.0;
 
 /// Options for the bench subcommand.
 #[derive(Default)]
@@ -56,9 +57,6 @@ fn link_bytes(real_bytes: f64) -> f64 {
 /// One benchmark kernel: a closure plus its per-iteration traffic/flops.
 struct Kernel<'a> {
     name: &'static str,
-    /// Autotuned execution variant for dslash rows, `"-"` for fixed-path
-    /// kernels (BLAS, contractions).
-    variant: String,
     bytes_per_iter: f64,
     flops_per_iter: f64,
     reps: usize,
@@ -80,7 +78,6 @@ fn time_best(reps: usize, run: &mut (dyn FnMut() + Send)) -> f64 {
 /// Timing of one kernel at each width, in the order of `widths`.
 struct Timed {
     name: &'static str,
-    variant: String,
     bytes_per_iter: f64,
     flops_per_iter: f64,
     seconds: Vec<f64>,
@@ -102,7 +99,6 @@ fn run_kernels(widths: &[usize], kernels: &mut [Kernel<'_>]) -> Vec<Timed> {
         .iter()
         .map(|k| Timed {
             name: k.name,
-            variant: k.variant.clone(),
             bytes_per_iter: k.bytes_per_iter,
             flops_per_iter: k.flops_per_iter,
             seconds: Vec::new(),
@@ -157,28 +153,22 @@ pub fn run_bench(out: &ExperimentOutput, opts: &BenchOpts) -> std::io::Result<()
     let src5 = FermionField::<f64>::gaussian(prec.vec_len(), 2).data;
     let mut out5 = vec![Spinor::<f64>::zero(); prec.vec_len()];
 
-    // Autotune each dslash operator's (variant, grain) at width 1 — the
-    // timed rows below then exercise exactly what the tuner selected, and
-    // the winner's name is attached to the row. Every variant is
-    // bit-identical, so tuning only affects speed.
+    // Autotune each dslash operator's grain at width 1 — the timed rows
+    // below then exercise exactly what the tuner selected. The grain never
+    // changes a bit of the result, only its speed.
     let tuner = Tuner::new();
     let tune_pool = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
         .expect("bench tune pool");
-    let (vw64, vw32, vprec) = tune_pool.install(|| {
+    let (gw64, gw32, gprec) = tune_pool.install(|| {
         (
-            tune_dslash_variant(&tuner, &mut d64).0,
-            tune_dslash_variant(&tuner, &mut d32).0,
-            tune_dslash_variant(&tuner, &mut prec).0,
+            tune_operator(&tuner, &mut d64),
+            tune_operator(&tuner, &mut d32),
+            tune_operator(&tuner, &mut prec),
         )
     });
-    println!(
-        "autotuned variants: wilson_f64={} wilson_f32={} mobius_prec_f64={}",
-        vw64.name(),
-        vw32.name(),
-        vprec.name()
-    );
+    println!("autotuned grains: wilson_f64={gw64} wilson_f32={gw32} mobius_prec_f64={gprec}");
     let (d64, d32, prec) = (&d64, &d32, &prec);
 
     // STREAM-like triad bound at width 1, used for the %STREAM column.
@@ -223,7 +213,6 @@ pub fn run_bench(out: &ExperimentOutput, opts: &BenchOpts) -> std::io::Result<()
     let mut kernels = vec![
         Kernel {
             name: "dslash_wilson_f64",
-            variant: vw64.name().to_string(),
             bytes_per_iter: wilson_bytes(8.0),
             flops_per_iter: d64_flops,
             reps,
@@ -231,7 +220,6 @@ pub fn run_bench(out: &ExperimentOutput, opts: &BenchOpts) -> std::io::Result<()
         },
         Kernel {
             name: "dslash_wilson_f32",
-            variant: vw32.name().to_string(),
             bytes_per_iter: wilson_bytes(4.0),
             flops_per_iter: d32_flops,
             reps,
@@ -239,7 +227,6 @@ pub fn run_bench(out: &ExperimentOutput, opts: &BenchOpts) -> std::io::Result<()
         },
         Kernel {
             name: "dslash_mobius_prec_f64",
-            variant: vprec.name().to_string(),
             bytes_per_iter: mobius_bytes,
             flops_per_iter: prec_flops,
             reps,
@@ -247,7 +234,6 @@ pub fn run_bench(out: &ExperimentOutput, opts: &BenchOpts) -> std::io::Result<()
         },
         Kernel {
             name: "blas_axpy_32768",
-            variant: "-".to_string(),
             bytes_per_iter: n * 3.0 * sb,
             flops_per_iter: n * 48.0,
             reps,
@@ -255,7 +241,6 @@ pub fn run_bench(out: &ExperimentOutput, opts: &BenchOpts) -> std::io::Result<()
         },
         Kernel {
             name: "blas_dot_32768",
-            variant: "-".to_string(),
             bytes_per_iter: n * 2.0 * sb,
             flops_per_iter: n * 96.0,
             reps,
@@ -265,7 +250,6 @@ pub fn run_bench(out: &ExperimentOutput, opts: &BenchOpts) -> std::io::Result<()
         },
         Kernel {
             name: "blas_norm2_32768",
-            variant: "-".to_string(),
             bytes_per_iter: n * sb,
             flops_per_iter: n * 48.0,
             reps,
@@ -275,7 +259,6 @@ pub fn run_bench(out: &ExperimentOutput, opts: &BenchOpts) -> std::io::Result<()
         },
         Kernel {
             name: "contract_pion",
-            variant: "-".to_string(),
             bytes_per_iter: vol * 12.0 * sb,
             flops_per_iter: vol * 12.0 * 48.0,
             reps,
@@ -285,7 +268,6 @@ pub fn run_bench(out: &ExperimentOutput, opts: &BenchOpts) -> std::io::Result<()
         },
         Kernel {
             name: "contract_proton",
-            variant: "-".to_string(),
             bytes_per_iter: vol * 3.0 * 12.0 * sb,
             flops_per_iter: 0.0,
             reps: reps_heavy,
@@ -311,7 +293,6 @@ pub fn run_bench(out: &ExperimentOutput, opts: &BenchOpts) -> std::io::Result<()
             let gib1 = gib_per_s(t.bytes_per_iter, t1);
             Json::obj(vec![
                 ("name", Json::Str(t.name.to_string())),
-                ("variant", Json::Str(t.variant.clone())),
                 ("bytes_per_iter", Json::Num(t.bytes_per_iter)),
                 ("flops_per_iter", Json::Num(t.flops_per_iter)),
                 ("arith_intensity", Json::Num(t.arith_intensity())),
@@ -376,20 +357,18 @@ pub fn run_bench(out: &ExperimentOutput, opts: &BenchOpts) -> std::io::Result<()
          GiB/s. `AI` is arithmetic intensity (flops per modeled byte); \
          `%STREAM @1` is the kernel's width-1 bandwidth relative to that \
          bound; kernels whose working set fits in cache can exceed 100%. \
-         `variant` is the execution path the layout-aware autotuner \
-         selected for each dslash row (`-` for fixed-path kernels).\n\n"
+         Dslash rows run at the autotuned grain.\n\n"
     ));
     md.push_str(
-        "| kernel | variant | AI (F/B) | GiB/s @1 | %STREAM @1 | GiB/s @N \
+        "| kernel | AI (F/B) | GiB/s @1 | %STREAM @1 | GiB/s @N \
          | Gflop/s @1 | Gflop/s @N | speedup |\n",
     );
-    md.push_str("|---|---|---:|---:|---:|---:|---:|---:|---:|\n");
+    md.push_str("|---|---:|---:|---:|---:|---:|---:|---:|\n");
     let mut rows = Vec::new();
     for t in &timed {
         let (t1, tn) = (t.seconds[0], t.seconds[1]);
         let gib1 = gib_per_s(t.bytes_per_iter, t1);
         let cells = [
-            t.variant.clone(),
             format!("{:.3}", t.arith_intensity()),
             format!("{gib1:.2}"),
             format!("{:.1}%", 100.0 * gib1 / stream_gib_s.max(1e-12)),
@@ -408,7 +387,6 @@ pub fn run_bench(out: &ExperimentOutput, opts: &BenchOpts) -> std::io::Result<()
         "kernel benchmarks",
         &[
             "kernel",
-            "variant",
             "AI (F/B)",
             "GiB/s @1",
             "%STREAM @1",
@@ -555,7 +533,6 @@ mod tests {
     fn arith_intensity_is_flops_over_bytes() {
         let t = Timed {
             name: "k",
-            variant: "aos_fused".to_string(),
             bytes_per_iter: 8.0,
             flops_per_iter: 12.0,
             seconds: vec![],
@@ -569,7 +546,7 @@ mod tests {
     }
 
     #[test]
-    fn schema_version_is_bumped_for_variant_columns() {
-        assert!(BENCH_SCHEMA_VERSION >= 2.0);
+    fn schema_version_is_bumped_for_dropped_variant_column() {
+        const { assert!(BENCH_SCHEMA_VERSION >= 3.0) };
     }
 }

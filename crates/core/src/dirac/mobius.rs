@@ -27,7 +27,7 @@
 //! unchanged.
 
 use super::hopping::{column_chunk, HoppingKernel, SendPtr, HOPPING_FLOPS_PER_SITE};
-use super::{BlockDiracOp, BlockLinearOp, DiracOp, DslashVariant, LinearOp};
+use super::{BlockDiracOp, BlockLinearOp, DiracOp, LinearOp};
 use crate::field::GaugeLinks;
 use crate::lattice::{Lattice, Parity};
 use crate::real::Real;
@@ -601,8 +601,6 @@ pub struct MobiusDirac<'a, R: Real, G: GaugeLinks<R>> {
     /// passes take `⌈grain / L5⌉` 4D sites (whole s-columns) per chunk, the
     /// slice-by-slice reference hop `grain` sites of one slice.
     pub grain: usize,
-    /// Execution strategy of `apply`; every supported variant is bit-identical.
-    pub variant: DslashVariant,
     /// Reusable 5D staging buffers for the fused paths: `ρ(ψ)` and the
     /// precomputed diagonal `A(ψ)` for `D`, `A†(ψ)` and `γ5ψ` for `D†`
     /// (grown to `nrhs` columns by the blocked applies).
@@ -618,7 +616,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
             lattice,
             fifth: FifthDim::new(params),
             grain: DEFAULT_GRAIN,
-            variant: DslashVariant::AosFused,
             scratch: Mutex::new((Vec::new(), Vec::new())),
         }
     }
@@ -638,12 +635,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
         &self.hopping
     }
 
-    /// Variants this operator can execute (SoA needs full-volume 4D
-    /// operators; the 5D s-major layout keeps it off the menu here).
-    pub fn supported_variants(&self) -> Vec<DslashVariant> {
-        vec![DslashVariant::AosScalar, DslashVariant::AosFused]
-    }
-
     fn l5(&self) -> usize {
         self.fifth.params.l5
     }
@@ -654,7 +645,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
     /// links across the whole s-extent and folds `A(ψ) − ½ H ρ(ψ)` into the
     /// output write. Every per-element operation chain matches the
     /// slice-by-slice path, so the result is bit-identical to
-    /// [`DslashVariant::AosScalar`].
+    /// [`Self::apply_reference`].
     fn apply_fused(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
         let v = self.lattice.volume();
         let n = self.vec_len();
@@ -706,7 +697,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
     /// of the unfused reference, so any `hop` bit-identical to the bound
     /// single-domain kernel — e.g. the sharded halo-exchange dslash in
     /// [`crate::comms`] — makes column `j` bit-identical to the single-RHS
-    /// [`DslashVariant::AosScalar`] apply of that column.
+    /// [`Self::apply_reference`] of that column.
     pub fn apply_block_with_hop(
         &self,
         out: &mut [Spinor<R>],
@@ -737,7 +728,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
     /// 3. `out ← diag − ½·ρ†(γ5·out)` column-wise, in place.
     ///
     /// `γ5` only flips signs, so column `j` is bit-identical to the
-    /// single-RHS [`DslashVariant::AosScalar`] adjoint of that column —
+    /// single-RHS [`Self::apply_dagger_reference`] of that column —
     /// the sharded normal operator [`crate::comms::ShardedNormal`] relies
     /// on this for checkpoint-exact restarts.
     pub fn apply_dagger_block_with_hop(
@@ -763,10 +754,11 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
             .diag_minus_rho_dagger(out, diag, 0.5, vb, self.grain);
     }
 
-    /// Reference `D` ([`DslashVariant::AosScalar`]): separate algebra
-    /// passes around the slice-by-slice hop, each intermediate in a fresh
-    /// vector. The oracle the fused paths are pinned against.
-    fn apply_reference(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+    /// Reference `D` on `nrhs` interleaved right-hand-sides (`nrhs = 1`: a
+    /// plain 5D vector): separate algebra passes around the slice-by-slice
+    /// hop, each intermediate in a fresh vector. The oracle the fused paths
+    /// are pinned against; no solver calls it.
+    pub fn apply_reference(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         let vb = self.lattice.volume() * nrhs;
         let p = &self.fifth.params;
         let n = self.vec_len() * nrhs;
@@ -791,7 +783,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
 
     /// Reference `D† = A† − ½ ρ† γ5 H γ5`, unfused like
     /// [`Self::apply_reference`].
-    fn apply_dagger_reference(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+    pub fn apply_dagger_reference(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         let vb = self.lattice.volume() * nrhs;
         let p = &self.fifth.params;
         let n = self.vec_len() * nrhs;
@@ -832,27 +824,13 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
 
 impl<'a, R: Real, G: GaugeLinks<R>> BlockLinearOp<R> for MobiusDirac<'a, R, G> {
     fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        match self.variant {
-            DslashVariant::AosScalar | DslashVariant::Soa => self.apply_reference(out, inp, nrhs),
-            DslashVariant::AosFused => {
-                self.apply_block_with_hop(out, inp, nrhs, &mut |o, i, n| self.hop_5d_block(o, i, n))
-            }
-        }
+        self.apply_block_with_hop(out, inp, nrhs, &mut |o, i, n| self.hop_5d_block(o, i, n))
     }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> BlockDiracOp<R> for MobiusDirac<'a, R, G> {
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        match self.variant {
-            DslashVariant::AosScalar | DslashVariant::Soa => {
-                self.apply_dagger_reference(out, inp, nrhs)
-            }
-            DslashVariant::AosFused => {
-                self.apply_dagger_block_with_hop(out, inp, nrhs, &mut |o, i, n| {
-                    self.hop_5d_block(o, i, n)
-                })
-            }
-        }
+        self.apply_dagger_block_with_hop(out, inp, nrhs, &mut |o, i, n| self.hop_5d_block(o, i, n))
     }
 }
 
@@ -862,12 +840,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for MobiusDirac<'a, R, G> {
     }
 
     fn apply(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        match self.variant {
-            // SoA is not supported on s-major 5D vectors; fall back to the
-            // reference path (bit-identical anyway).
-            DslashVariant::AosScalar | DslashVariant::Soa => self.apply_reference(out, inp, 1),
-            DslashVariant::AosFused => self.apply_fused(out, inp),
-        }
+        self.apply_fused(out, inp);
     }
 
     fn flops_per_apply(&self) -> f64 {
@@ -883,12 +856,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for MobiusDirac<'a, R, G> {
         // hopping does not commute with the chirality-projected s-shift), so
         // — like QUDA's Mdag — the adjoint is applied explicitly:
         // D† = A† − ½ ρ† H† with H† = γ5 H γ5.
-        match self.variant {
-            DslashVariant::AosScalar | DslashVariant::Soa => {
-                self.apply_dagger_reference(out, inp, 1)
-            }
-            DslashVariant::AosFused => self.apply_dagger_fused(out, inp),
-        }
+        self.apply_dagger_fused(out, inp);
     }
 }
 
@@ -902,9 +870,6 @@ pub struct PrecMobius<'a, R: Real, G: GaugeLinks<R>> {
     /// passes take `⌈grain / L5⌉` 4D sites (whole s-columns) per chunk, the
     /// slice-by-slice reference hops `grain` sites of one slice.
     pub grain: usize,
-    /// Execution strategy of `apply` and `apply_dagger`; every supported
-    /// variant is bit-identical.
-    pub variant: DslashVariant,
     /// Reusable 5D half-volume staging buffers for the fused paths
     /// (`ρ`/`γ5` stage, hop target, precomputed diagonal).
     scratch: Scratch3<R>,
@@ -918,7 +883,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
             lattice,
             fifth: FifthDim::new(params),
             grain: DEFAULT_GRAIN,
-            variant: DslashVariant::AosFused,
             scratch: Mutex::new((Vec::new(), Vec::new(), Vec::new())),
         }
     }
@@ -936,12 +900,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
     /// The bound 4D hopping kernel.
     pub fn hopping(&self) -> &HoppingKernel<'a, R, G> {
         &self.hopping
-    }
-
-    /// Variants this operator can execute (SoA needs full-volume 4D
-    /// operators; the checkerboarding strides the x-lines by 2).
-    pub fn supported_variants(&self) -> Vec<DslashVariant> {
-        vec![DslashVariant::AosScalar, DslashVariant::AosFused]
     }
 
     fn l5(&self) -> usize {
@@ -965,7 +923,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
     ///
     /// Each fused expression evaluates the identical per-element operation
     /// chain as the reference path, so the result is bit-identical to
-    /// [`DslashVariant::AosScalar`].
+    /// [`Self::apply_reference`].
     fn apply_fused(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
         let hv = self.hv();
         let n = self.vec_len();
@@ -1012,7 +970,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
     ///
     /// `γ5` only flips signs, so every element keeps the reference
     /// operation chain and the result is bit-identical to
-    /// [`DslashVariant::AosScalar`].
+    /// [`Self::apply_dagger_reference`].
     fn apply_dagger_fused(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
         let hv = self.hv();
         let n = self.vec_len();
@@ -1042,15 +1000,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         );
         self.fifth
             .diag_minus_rho_dagger(out, diag, -0.5, hv, self.grain);
-    }
-
-    /// Slice-wise checkerboarded hopping on 5D half-volume vectors.
-    fn hop_5d_parity(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], out_parity: Parity) {
-        let hv = self.hv();
-        for s in 0..self.l5() {
-            let (o, i) = (&mut out[s * hv..(s + 1) * hv], &inp[s * hv..(s + 1) * hv]);
-            self.hopping.apply_parity(o, i, out_parity, self.grain);
-        }
     }
 
     /// Split a full 5D vector into (even, odd) 5D checkerboard vectors.
@@ -1091,44 +1040,12 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         full
     }
 
-    /// `M_eo`-style off-diagonal application onto `out_parity`:
-    /// `out = −½ H ρ(in)`.
-    fn offdiag(&self, inp: &[Spinor<R>], out_parity: Parity) -> Vec<Spinor<R>> {
-        let hv = self.hv();
-        let p = &self.fifth.params;
-        let mut rho = vec![Spinor::zero(); inp.len()];
-        self.fifth
-            .affine_shift(&mut rho, inp, hv, p.b5, p.c5, false);
-        let mut hop = vec![Spinor::zero(); inp.len()];
-        self.hop_5d_parity(&mut hop, &rho, out_parity);
-        hop.par_iter_mut()
-            .for_each(|s| *s = s.scale(R::from_f64(-0.5)));
-        hop
-    }
-
-    /// Adjoint off-diagonal application onto `out_parity`:
-    /// `out = −½ ρ† γ5 H γ5 (in)`.
-    fn offdiag_dagger(&self, inp: &[Spinor<R>], out_parity: Parity) -> Vec<Spinor<R>> {
-        let hv = self.hv();
-        let p = &self.fifth.params;
-        let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
-        let mut hop = vec![Spinor::zero(); inp.len()];
-        self.hop_5d_parity(&mut hop, &g5in, out_parity);
-        hop.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
-        let mut out = vec![Spinor::zero(); inp.len()];
-        self.fifth
-            .affine_shift(&mut out, &hop, hv, p.b5, p.c5, true);
-        out.par_iter_mut()
-            .for_each(|s| *s = s.scale(R::from_f64(-0.5)));
-        out
-    }
-
     /// Preconditioned source `b'_o = b_o − M_oe A⁻¹ b_e`.
     pub fn prepare_source(&self, b_even: &[Spinor<R>], b_odd: &[Spinor<R>]) -> Vec<Spinor<R>> {
         let hv = self.hv();
         let mut ainv_be = vec![Spinor::zero(); b_even.len()];
         self.fifth.apply_a_inverse(&mut ainv_be, b_even, hv, false);
-        let moe = self.offdiag(&ainv_be, Parity::Odd);
+        let moe = self.offdiag(&ainv_be, Parity::Odd, 1);
         let mut out = b_odd.to_vec();
         out.par_iter_mut().zip(moe.par_iter()).for_each(|(o, m)| {
             *o = *o - *m;
@@ -1139,7 +1056,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
     /// Even-site reconstruction `x_e = A⁻¹ (b_e − M_eo x_o)`.
     pub fn reconstruct_even(&self, b_even: &[Spinor<R>], x_odd: &[Spinor<R>]) -> Vec<Spinor<R>> {
         let hv = self.hv();
-        let meo = self.offdiag(x_odd, Parity::Even);
+        let meo = self.offdiag(x_odd, Parity::Even, 1);
         let mut rhs = b_even.to_vec();
         rhs.par_iter_mut().zip(meo.par_iter()).for_each(|(r, m)| {
             *r = *r - *m;
@@ -1149,8 +1066,9 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         out
     }
 
-    /// Blocked slice-wise checkerboarded hopping on interleaved 5D blocks.
-    fn hop_5d_parity_block(
+    /// Slice-wise checkerboarded hopping on interleaved 5D blocks
+    /// (`nrhs = 1`: plain 5D half-volume vectors).
+    fn hop_5d_parity(
         &self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
@@ -1168,32 +1086,29 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         }
     }
 
-    /// Blocked `out = −½ H ρ(in)` onto `out_parity`.
-    fn offdiag_block(&self, inp: &[Spinor<R>], out_parity: Parity, nrhs: usize) -> Vec<Spinor<R>> {
+    /// `M_eo`-style off-diagonal application onto `out_parity` on `nrhs`
+    /// interleaved columns: `out = −½ H ρ(in)`.
+    fn offdiag(&self, inp: &[Spinor<R>], out_parity: Parity, nrhs: usize) -> Vec<Spinor<R>> {
         let hvb = self.hv() * nrhs;
         let p = &self.fifth.params;
         let mut rho = vec![Spinor::zero(); inp.len()];
         self.fifth
             .affine_shift(&mut rho, inp, hvb, p.b5, p.c5, false);
         let mut hop = vec![Spinor::zero(); inp.len()];
-        self.hop_5d_parity_block(&mut hop, &rho, out_parity, nrhs);
+        self.hop_5d_parity(&mut hop, &rho, out_parity, nrhs);
         hop.par_iter_mut()
             .for_each(|s| *s = s.scale(R::from_f64(-0.5)));
         hop
     }
 
-    /// Blocked `out = −½ ρ† γ5 H γ5 (in)` onto `out_parity`.
-    fn offdiag_dagger_block(
-        &self,
-        inp: &[Spinor<R>],
-        out_parity: Parity,
-        nrhs: usize,
-    ) -> Vec<Spinor<R>> {
+    /// Adjoint off-diagonal application onto `out_parity` on `nrhs`
+    /// interleaved columns: `out = −½ ρ† γ5 H γ5 (in)`.
+    fn offdiag_dagger(&self, inp: &[Spinor<R>], out_parity: Parity, nrhs: usize) -> Vec<Spinor<R>> {
         let hvb = self.hv() * nrhs;
         let p = &self.fifth.params;
         let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
         let mut hop = vec![Spinor::zero(); inp.len()];
-        self.hop_5d_parity_block(&mut hop, &g5in, out_parity, nrhs);
+        self.hop_5d_parity(&mut hop, &g5in, out_parity, nrhs);
         hop.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
         let mut out = vec![Spinor::zero(); inp.len()];
         self.fifth
@@ -1210,10 +1125,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecMobius<'a, R, G> {
     }
 
     fn apply(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        match self.variant {
-            DslashVariant::AosScalar | DslashVariant::Soa => self.apply_reference(out, inp),
-            DslashVariant::AosFused => self.apply_fused(out, inp),
-        }
+        self.apply_fused(out, inp);
     }
 
     fn flops_per_apply(&self) -> f64 {
@@ -1224,86 +1136,43 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecMobius<'a, R, G> {
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
-    /// Reference Schur apply: slice-by-slice hops with separate algebra
-    /// passes, building each intermediate in a fresh vector.
-    fn apply_reference(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let hv = self.hv();
-        let p = &self.fifth.params;
-        assert_eq!(out.len(), self.vec_len());
-        assert_eq!(inp.len(), self.vec_len());
-
-        let meo = self.offdiag(inp, Parity::Even);
-        let mut ainv = vec![Spinor::zero(); meo.len()];
-        self.fifth.apply_a_inverse(&mut ainv, &meo, hv, false);
-        let moe = self.offdiag(&ainv, Parity::Odd);
-
-        // out = A(inp) − M_oe A⁻¹ M_eo inp.
-        self.fifth
-            .affine_shift(out, inp, hv, p.alpha(), p.beta(), false);
-        out.par_iter_mut().zip(moe.par_iter()).for_each(|(o, m)| {
-            *o = *o - *m;
-        });
-    }
-
-    /// Reference Schur adjoint `M̂† = A† − M_eo† (A†)⁻¹ M_oe†`, each adjoint
-    /// applied explicitly with separate passes and fresh vectors.
-    fn apply_dagger_reference(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let hv = self.hv();
-        let p = &self.fifth.params;
-
-        let moe_dag = self.offdiag_dagger(inp, Parity::Even);
-        let mut ainv = vec![Spinor::zero(); moe_dag.len()];
-        self.fifth.apply_a_inverse(&mut ainv, &moe_dag, hv, true);
-        let meo_dag = self.offdiag_dagger(&ainv, Parity::Odd);
-
-        self.fifth
-            .affine_shift(out, inp, hv, p.alpha(), p.beta(), true);
-        out.par_iter_mut()
-            .zip(meo_dag.par_iter())
-            .for_each(|(o, m)| {
-                *o = *o - *m;
-            });
-    }
-}
-
-impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecMobius<'a, R, G> {
-    fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        match self.variant {
-            DslashVariant::AosScalar | DslashVariant::Soa => self.apply_dagger_reference(out, inp),
-            DslashVariant::AosFused => self.apply_dagger_fused(out, inp),
-        }
-    }
-}
-
-impl<'a, R: Real, G: GaugeLinks<R>> BlockLinearOp<R> for PrecMobius<'a, R, G> {
-    fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+    /// Reference Schur apply on `nrhs` interleaved right-hand-sides
+    /// (`nrhs = 1`: a plain vector): slice-by-slice hops with separate
+    /// algebra passes, building each intermediate in a fresh vector. The
+    /// oracle the fused single-RHS `apply` is pinned against, and — there
+    /// being no fused blocked form — the body of `apply_block`.
+    pub fn apply_reference(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         let hvb = self.hv() * nrhs;
         let p = &self.fifth.params;
         assert_eq!(out.len(), self.vec_len() * nrhs);
         assert_eq!(inp.len(), self.vec_len() * nrhs);
 
-        let meo = self.offdiag_block(inp, Parity::Even, nrhs);
+        let meo = self.offdiag(inp, Parity::Even, nrhs);
         let mut ainv = vec![Spinor::zero(); meo.len()];
         self.fifth.apply_a_inverse(&mut ainv, &meo, hvb, false);
-        let moe = self.offdiag_block(&ainv, Parity::Odd, nrhs);
+        let moe = self.offdiag(&ainv, Parity::Odd, nrhs);
 
+        // out = A(inp) − M_oe A⁻¹ M_eo inp.
         self.fifth
             .affine_shift(out, inp, hvb, p.alpha(), p.beta(), false);
         out.par_iter_mut().zip(moe.par_iter()).for_each(|(o, m)| {
             *o = *o - *m;
         });
     }
-}
 
-impl<'a, R: Real, G: GaugeLinks<R>> BlockDiracOp<R> for PrecMobius<'a, R, G> {
-    fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+    /// Reference Schur adjoint `M̂† = A† − M_eo† (A†)⁻¹ M_oe†`, each adjoint
+    /// applied explicitly with separate passes and fresh vectors; the body
+    /// of `apply_dagger_block`.
+    pub fn apply_dagger_reference(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         let hvb = self.hv() * nrhs;
         let p = &self.fifth.params;
+        assert_eq!(out.len(), self.vec_len() * nrhs);
+        assert_eq!(inp.len(), self.vec_len() * nrhs);
 
-        let moe_dag = self.offdiag_dagger_block(inp, Parity::Even, nrhs);
+        let moe_dag = self.offdiag_dagger(inp, Parity::Even, nrhs);
         let mut ainv = vec![Spinor::zero(); moe_dag.len()];
         self.fifth.apply_a_inverse(&mut ainv, &moe_dag, hvb, true);
-        let meo_dag = self.offdiag_dagger_block(&ainv, Parity::Odd, nrhs);
+        let meo_dag = self.offdiag_dagger(&ainv, Parity::Odd, nrhs);
 
         self.fifth
             .affine_shift(out, inp, hvb, p.alpha(), p.beta(), true);
@@ -1315,10 +1184,29 @@ impl<'a, R: Real, G: GaugeLinks<R>> BlockDiracOp<R> for PrecMobius<'a, R, G> {
     }
 }
 
+impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecMobius<'a, R, G> {
+    fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
+        self.apply_dagger_fused(out, inp);
+    }
+}
+
+impl<'a, R: Real, G: GaugeLinks<R>> BlockLinearOp<R> for PrecMobius<'a, R, G> {
+    fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+        self.apply_reference(out, inp, nrhs);
+    }
+}
+
+impl<'a, R: Real, G: GaugeLinks<R>> BlockDiracOp<R> for PrecMobius<'a, R, G> {
+    fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+        self.apply_dagger_reference(out, inp, nrhs);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::blas;
+    use crate::dirac::testing::assert_matches_reference;
     use crate::field::{FermionField, GaugeField};
 
     #[test]
@@ -1384,23 +1272,20 @@ mod tests {
         let lat = Lattice::new([4, 4, 2, 4]);
         let gauge = GaugeField::<f64>::hot(&lat, 41);
         let params = MobiusParams::standard(4, 0.1);
-        let mut op = PrecMobius::new(&lat, &gauge, params);
+        let op = PrecMobius::new(&lat, &gauge, params);
         let n = op.vec_len();
         let x = FermionField::<f64>::gaussian(n, 5).data;
         let y = FermionField::<f64>::gaussian(n, 6).data;
-        for variant in [DslashVariant::AosScalar, DslashVariant::AosFused] {
-            op.variant = variant;
-            let mut my = vec![Spinor::zero(); n];
-            op.apply(&mut my, &y);
-            let mut mdag_x = vec![Spinor::zero(); n];
-            op.apply_dagger(&mut mdag_x, &x);
-            let lhs = blas::dot(&x, &my);
-            let rhs = blas::dot(&mdag_x, &y);
-            assert!(
-                (lhs - rhs).abs() < 1e-9 * lhs.abs().max(1.0),
-                "{variant:?}: ⟨x,M̂y⟩ = ⟨M̂†x,y⟩: {lhs:?} vs {rhs:?}"
-            );
-        }
+        let mut my = vec![Spinor::zero(); n];
+        op.apply(&mut my, &y);
+        let mut mdag_x = vec![Spinor::zero(); n];
+        op.apply_dagger(&mut mdag_x, &x);
+        let lhs = blas::dot(&x, &my);
+        let rhs = blas::dot(&mdag_x, &y);
+        assert!(
+            (lhs - rhs).abs() < 1e-9 * lhs.abs().max(1.0),
+            "⟨x,M̂y⟩ = ⟨M̂†x,y⟩: {lhs:?} vs {rhs:?}"
+        );
     }
 
     #[test]
@@ -1564,69 +1449,29 @@ mod tests {
     }
 
     #[test]
-    fn mobius_variants_are_bit_identical() {
+    fn mobius_matches_reference_bit_for_bit() {
         let lat = Lattice::new([4, 4, 2, 4]);
         let gauge = GaugeField::<f64>::hot(&lat, 61);
-        let mut op = MobiusDirac::new(&lat, &gauge, MobiusParams::standard(6, 0.1));
-        let n = op.vec_len();
-        let x = FermionField::<f64>::gaussian(n, 23).data;
-        let y = FermionField::<f64>::gaussian(n, 26).data;
-        let block = crate::block::BlockSpinor::from_columns(&[x.clone(), y.clone()]);
-        op.variant = DslashVariant::AosScalar;
-        let mut reference = vec![Spinor::zero(); n];
-        op.apply(&mut reference, &x);
-        let mut reference_dag = vec![Spinor::zero(); n];
-        op.apply_dagger(&mut reference_dag, &x);
-        let mut reference_dag_y = vec![Spinor::zero(); n];
-        op.apply_dagger(&mut reference_dag_y, &y);
-        // Twice per variant: the fused paths reuse (and, for the block,
-        // regrow) their scratch across calls.
-        for v in op.supported_variants() {
-            op.variant = v;
-            for _ in 0..2 {
-                let mut out = vec![Spinor::zero(); n];
-                op.apply(&mut out, &x);
-                assert_eq!(out, reference, "variant {v:?}");
-                op.apply_dagger(&mut out, &x);
-                assert_eq!(out, reference_dag, "adjoint, variant {v:?}");
-                let mut out_block = crate::block::BlockSpinor::zeros(n, 2);
-                op.apply_block(out_block.data_mut(), block.data(), 2);
-                assert_eq!(out_block.col(0), reference, "block, variant {v:?}");
-                op.apply_dagger_block(out_block.data_mut(), block.data(), 2);
-                assert_eq!(out_block.col(0), reference_dag, "block adjoint, {v:?}");
-                assert_eq!(out_block.col(1), reference_dag_y, "block adjoint, {v:?}");
-            }
-        }
+        let op = MobiusDirac::new(&lat, &gauge, MobiusParams::standard(6, 0.1));
+        assert_matches_reference(
+            &op,
+            &|o, i, n| op.apply_reference(o, i, n),
+            &|o, i, n| op.apply_dagger_reference(o, i, n),
+            23,
+        );
     }
 
     #[test]
-    fn prec_mobius_variants_are_bit_identical() {
+    fn prec_mobius_matches_reference_bit_for_bit() {
         let lat = Lattice::new([4, 4, 2, 4]);
         let gauge = GaugeField::<f64>::hot(&lat, 67);
-        let mut op = PrecMobius::new(&lat, &gauge, MobiusParams::standard(4, 0.1));
-        let n = op.vec_len();
-        let x = FermionField::<f64>::gaussian(n, 24).data;
-        op.variant = DslashVariant::AosScalar;
-        let mut reference = vec![Spinor::zero(); n];
-        op.apply(&mut reference, &x);
-        let mut reference_dag = vec![Spinor::zero(); n];
-        op.apply_dagger(&mut reference_dag, &x);
-        for v in op.supported_variants() {
-            op.variant = v;
-            let mut out = vec![Spinor::zero(); n];
-            op.apply(&mut out, &x);
-            assert_eq!(out, reference, "variant {v:?}");
-            op.apply_dagger(&mut out, &x);
-            assert_eq!(out, reference_dag, "adjoint, variant {v:?}");
-        }
-        // The fused paths reuse scratch buffers across calls; a second
-        // application must still be bit-identical.
-        op.variant = DslashVariant::AosFused;
-        let mut again = vec![Spinor::zero(); n];
-        op.apply(&mut again, &x);
-        assert_eq!(again, reference);
-        op.apply_dagger(&mut again, &x);
-        assert_eq!(again, reference_dag);
+        let op = PrecMobius::new(&lat, &gauge, MobiusParams::standard(4, 0.1));
+        assert_matches_reference(
+            &op,
+            &|o, i, n| op.apply_reference(o, i, n),
+            &|o, i, n| op.apply_dagger_reference(o, i, n),
+            24,
+        );
     }
 
     #[test]

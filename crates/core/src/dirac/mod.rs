@@ -1,4 +1,20 @@
 //! Dirac operators and the linear-operator interface used by the solvers.
+//!
+//! Each operator — [`WilsonDirac`], [`PrecWilson`], [`MobiusDirac`] and
+//! [`PrecMobius`] — has one execution path per entry point (`apply`,
+//! `apply_dagger`, `apply_block`, `apply_dagger_block`): AoS storage with
+//! the diagonal and fifth-dimension algebra folded into the stencil's
+//! output write where a fused form exists, and each 4D site's gauge links
+//! reused across the whole s-extent. The only tuned knob is the parallel
+//! `grain` (see [`crate::tune`]).
+//!
+//! Every operator also keeps its unfused chain as the inherent
+//! `apply_reference`/`apply_dagger_reference` (taking `nrhs`): separate
+//! algebra passes around slice-by-slice hops, each intermediate in a fresh
+//! vector. They are the oracle the fused paths are pinned against bit for
+//! bit (`crates/core/tests/dslash_variants.rs`). Where an operator has no
+//! fused blocked form — the 4D Wilson operators and [`PrecMobius`] — its
+//! `apply_block`/`apply_dagger_block` run that same chain.
 
 mod hopping;
 mod mobius;
@@ -12,39 +28,6 @@ pub use wilson::{PrecWilson, WilsonDirac};
 use crate::real::Real;
 use crate::spinor::Spinor;
 use parking_lot::Mutex;
-
-/// Execution strategy of a Dirac operator's `apply` — the axis the
-/// layout-aware autotuner sweeps (see [`crate::tune::tune_dslash_variant`]).
-///
-/// Every variant is deterministic, width-invariant, and **bit-identical** to
-/// every other variant of the same operator: the fused paths fold algebra
-/// passes into the stencil's output write without reassociating any
-/// per-element operation chain, and the SoA path evaluates the identical
-/// scalar chains lane-parallel (see [`crate::simd`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum DslashVariant {
-    /// Reference path: slice-by-slice hops with separate algebra passes over
-    /// AoS storage.
-    AosScalar,
-    /// AoS storage with the diagonal/5th-dimension algebra fused into the
-    /// hop's output write and gauge links reused across the whole s-extent.
-    AosFused,
-    /// Blocked SoA storage with lane-vectorized complex arithmetic
-    /// (full-volume 4D operators; requires the x-extent to be a multiple of
-    /// [`crate::simd::LANES`]).
-    Soa,
-}
-
-impl DslashVariant {
-    /// Stable short name used in tune keys and bench output.
-    pub fn name(self) -> &'static str {
-        match self {
-            DslashVariant::AosScalar => "aos",
-            DslashVariant::AosFused => "aos_fused",
-            DslashVariant::Soa => "soa",
-        }
-    }
-}
 
 /// A general linear operator on a fermion vector, as seen by Krylov solvers.
 pub trait LinearOp<R: Real>: Sync {
@@ -135,5 +118,58 @@ impl<'a, R: Real, D: BlockDiracOp<R>> BlockLinearOp<R> for NormalOp<'a, R, D> {
         tmp.resize(self.op.vec_len() * nrhs, Spinor::zero());
         self.op.apply_block(&mut tmp, inp, nrhs);
         self.op.apply_dagger_block(out, &tmp, nrhs);
+    }
+}
+
+/// The bit-identity check every operator's tests share.
+#[cfg(test)]
+pub(crate) mod testing {
+    use super::BlockDiracOp;
+    use crate::block::BlockSpinor;
+    use crate::field::FermionField;
+    use crate::spinor::Spinor;
+
+    /// A reference chain `(out, inp, nrhs)`.
+    type Chain<'r> = &'r dyn Fn(&mut [Spinor<f64>], &[Spinor<f64>], usize);
+
+    /// Pin the production `D`, `D†` (twice each: the fused paths reuse
+    /// their scratch) and the two-column blocked `D`, `D†` (twice: the
+    /// scratch regrows) against the single-RHS reference chains, bit for
+    /// bit.
+    pub(crate) fn assert_matches_reference(
+        op: &impl BlockDiracOp<f64>,
+        reference: Chain<'_>,
+        reference_dagger: Chain<'_>,
+        seed: u64,
+    ) {
+        let n = op.vec_len();
+        let cols: Vec<Vec<Spinor<f64>>> = (0..2)
+            .map(|j| FermionField::<f64>::gaussian(n, seed + j).data)
+            .collect();
+        let block = BlockSpinor::from_columns(&cols);
+        let single = |chain: Chain<'_>, col: &[Spinor<f64>]| {
+            let mut out = vec![Spinor::zero(); n];
+            chain(&mut out, col, 1);
+            out
+        };
+        let want: Vec<_> = cols.iter().map(|c| single(reference, c)).collect();
+        let want_dag: Vec<_> = cols.iter().map(|c| single(reference_dagger, c)).collect();
+        for round in 0..2 {
+            let mut out = vec![Spinor::zero(); n];
+            op.apply(&mut out, &cols[0]);
+            assert_eq!(out, want[0], "D, round {round}");
+            op.apply_dagger(&mut out, &cols[0]);
+            assert_eq!(out, want_dag[0], "D†, round {round}");
+            let mut out = BlockSpinor::zeros(n, 2);
+            op.apply_block(out.data_mut(), block.data(), 2);
+            assert_eq!(
+                vec![out.col(0), out.col(1)],
+                want,
+                "blocked D, round {round}"
+            );
+            op.apply_dagger_block(out.data_mut(), block.data(), 2);
+            let got = vec![out.col(0), out.col(1)];
+            assert_eq!(got, want_dag, "blocked D†, round {round}");
+        }
     }
 }

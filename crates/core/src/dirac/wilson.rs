@@ -12,22 +12,22 @@
 //! block is the 5th-dimension structure, see [`super::mobius`]).
 
 use super::hopping::{HoppingKernel, HOPPING_FLOPS_PER_SITE};
-use super::{BlockDiracOp, BlockLinearOp, DiracOp, DslashVariant, LinearOp};
+use super::{BlockDiracOp, BlockLinearOp, DiracOp, LinearOp};
 use crate::field::GaugeLinks;
 use crate::lattice::{Lattice, Parity};
-use crate::layout::{hop_full_soa, SoaGaugeField, SoaSpinorField};
 use crate::real::Real;
-use crate::simd::LANES;
 use crate::spinor::Spinor;
 use parking_lot::Mutex;
 use rayon::prelude::*;
 
-/// Lazily built SoA mirrors of the gauge field plus I/O staging buffers for
-/// the [`DslashVariant::Soa`] path.
-struct SoaCache<R> {
-    gauge: SoaGaugeField<R>,
-    inp: SoaSpinorField<R>,
-    out: SoaSpinorField<R>,
+/// `γ5 · v`, site by site, into a fresh vector.
+fn gamma5_copy<R: Real>(v: &[Spinor<R>]) -> Vec<Spinor<R>> {
+    v.par_iter().map(|s| s.apply_gamma5()).collect()
+}
+
+/// `v ← γ5 · v`, site by site.
+fn gamma5_in_place<R: Real>(v: &mut [Spinor<R>]) {
+    v.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
 }
 
 /// The full-lattice Wilson operator.
@@ -37,9 +37,6 @@ pub struct WilsonDirac<'a, R: Real, G: GaugeLinks<R>> {
     mass: f64,
     /// Parallel chunk size for the stencil, set by the autotuner.
     pub grain: usize,
-    /// Execution strategy of `apply`; all variants are bit-identical.
-    pub variant: DslashVariant,
-    soa: Mutex<Option<SoaCache<R>>>,
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> WilsonDirac<'a, R, G> {
@@ -51,8 +48,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> WilsonDirac<'a, R, G> {
             lattice,
             mass,
             grain: 1024,
-            variant: DslashVariant::AosFused,
-            soa: Mutex::new(None),
         }
     }
 
@@ -71,45 +66,24 @@ impl<'a, R: Real, G: GaugeLinks<R>> WilsonDirac<'a, R, G> {
         &self.hopping
     }
 
-    /// Variants executable on this geometry (the SoA path needs whole lane
-    /// blocks per x-line).
-    pub fn supported_variants(&self) -> Vec<DslashVariant> {
-        let mut v = vec![DslashVariant::AosScalar, DslashVariant::AosFused];
-        if self.lattice.dims()[0].is_multiple_of(LANES) {
-            v.push(DslashVariant::Soa);
-        }
-        v
-    }
-
-    /// The SoA execution path: transpose in, lane-parallel fused stencil,
-    /// transpose out. The gauge transpose is built once and cached; the
-    /// staging conversions are part of what the autotuner times, so this
-    /// variant only wins when the lane arithmetic pays for them.
-    fn apply_soa(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
+    /// Reference `D` on `nrhs` interleaved right-hand-sides (`nrhs = 1`:
+    /// a plain vector): the blocked hop, then the diagonal combination
+    /// `(4+m)·ψ − ½·Hψ` as a separate pass. The oracle the fused
+    /// single-RHS `apply` is pinned against, and — there being no fused
+    /// blocked form — the body of `apply_block`.
+    pub fn apply_reference(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+        self.hopping.apply_full_block(out, inp, nrhs, self.grain);
         let diag = R::from_f64(4.0 + self.mass);
         let half = R::from_f64(0.5);
-        let mut guard = self.soa.lock();
-        let cache = guard.get_or_insert_with(|| SoaCache {
-            gauge: SoaGaugeField::from_links(self.hopping.gauge()),
-            inp: SoaSpinorField::zeros(self.lattice.volume()),
-            out: SoaSpinorField::zeros(self.lattice.volume()),
+        out.par_iter_mut().zip(inp.par_iter()).for_each(|(o, i)| {
+            *o = i.scale(diag) - o.scale(half);
         });
-        cache.inp.fill_from_aos(inp);
-        let SoaCache {
-            gauge,
-            inp: sinp,
-            out: sout,
-        } = &mut *cache;
-        hop_full_soa(
-            self.lattice,
-            gauge,
-            sout,
-            sinp,
-            self.hopping.antiperiodic_t(),
-            self.grain,
-            Some((diag, half)),
-        );
-        sout.store_to_aos(out);
+    }
+
+    /// Reference `D† = γ5 D γ5` around [`Self::apply_reference`].
+    pub fn apply_dagger_reference(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+        self.apply_reference(out, &gamma5_copy(inp), nrhs);
+        gamma5_in_place(out);
     }
 }
 
@@ -118,26 +92,16 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for WilsonDirac<'a, R, G> {
         self.lattice.volume()
     }
 
+    /// The diagonal combination `(4+m)·ψ − ½·Hψ` folded into the
+    /// stencil's single output write: the per-site value chain of
+    /// [`WilsonDirac::apply_reference`], so bit-identical to it.
     fn apply(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
         let diag = R::from_f64(4.0 + self.mass);
         let half = R::from_f64(0.5);
-        match self.variant {
-            DslashVariant::AosScalar => {
-                self.hopping.apply_full(out, inp, self.grain);
-                out.par_iter_mut().zip(inp.par_iter()).for_each(|(o, i)| {
-                    *o = i.scale(diag) - o.scale(half);
-                });
-            }
-            // Same per-site value chain (`i·a − h·b` with `h` the hop) fused
-            // into the stencil's single output write: bit-identical.
-            DslashVariant::AosFused => {
-                self.hopping
-                    .apply_full_fused_5d(out, inp, 1, self.grain, &|_, x, h| {
-                        inp[x].scale(diag) - h.scale(half)
-                    });
-            }
-            DslashVariant::Soa => self.apply_soa(out, inp),
-        }
+        self.hopping
+            .apply_full_fused_5d(out, inp, 1, self.grain, &|_, x, h| {
+                inp[x].scale(diag) - h.scale(half)
+            });
     }
 
     fn flops_per_apply(&self) -> f64 {
@@ -149,28 +113,20 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for WilsonDirac<'a, R, G> {
 impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for WilsonDirac<'a, R, G> {
     fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
         // γ5-hermiticity: D† = γ5 D γ5.
-        let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
-        self.apply(out, &g5in);
-        out.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
+        self.apply(out, &gamma5_copy(inp));
+        gamma5_in_place(out);
     }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> BlockLinearOp<R> for WilsonDirac<'a, R, G> {
     fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        self.hopping.apply_full_block(out, inp, nrhs, self.grain);
-        let diag = R::from_f64(4.0 + self.mass);
-        let half = R::from_f64(0.5);
-        out.par_iter_mut().zip(inp.par_iter()).for_each(|(o, i)| {
-            *o = i.scale(diag) - o.scale(half);
-        });
+        self.apply_reference(out, inp, nrhs);
     }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> BlockDiracOp<R> for WilsonDirac<'a, R, G> {
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
-        self.apply_block(out, &g5in, nrhs);
-        out.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
+        self.apply_dagger_reference(out, inp, nrhs);
     }
 }
 
@@ -181,9 +137,7 @@ pub struct PrecWilson<'a, R: Real, G: GaugeLinks<R>> {
     mass: f64,
     /// Parallel chunk size for the stencil, set by the autotuner.
     pub grain: usize,
-    /// Execution strategy of `apply`; all variants are bit-identical.
-    pub variant: DslashVariant,
-    /// Reused half-volume intermediate for the fused path (behind a lock so
+    /// Reused half-volume intermediate of `apply` (behind a lock so
     /// `apply` keeps its `&self` solver interface).
     scratch: Mutex<Vec<Spinor<R>>>,
 }
@@ -196,7 +150,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecWilson<'a, R, G> {
             lattice,
             mass,
             grain: 1024,
-            variant: DslashVariant::AosFused,
             scratch: Mutex::new(Vec::new()),
         }
     }
@@ -208,12 +161,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecWilson<'a, R, G> {
     /// The bound 4D hopping kernel.
     pub fn hopping(&self) -> &HoppingKernel<'a, R, G> {
         &self.hopping
-    }
-
-    /// Variants executable on this geometry (the checkerboarded stencil has
-    /// no SoA path — parity splits the x-lines to stride 2).
-    pub fn supported_variants(&self) -> Vec<DslashVariant> {
-        vec![DslashVariant::AosScalar, DslashVariant::AosFused]
     }
 
     /// The lattice.
@@ -274,66 +221,13 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecWilson<'a, R, G> {
             .for_each(|(t, b)| *t = (*b + t.scale(half)).scale(inv));
         tmp
     }
-}
 
-impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecWilson<'a, R, G> {
-    fn vec_len(&self) -> usize {
-        self.lattice.half_volume()
-    }
-
-    fn apply(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let hv = self.lattice.half_volume();
-        let a = R::from_f64(self.diag());
-        let c = R::from_f64(0.25 / self.diag());
-        match self.variant {
-            DslashVariant::AosScalar | DslashVariant::Soa => {
-                let mut even = vec![Spinor::zero(); hv];
-                self.hopping
-                    .apply_parity(&mut even, inp, Parity::Even, self.grain);
-                self.hopping
-                    .apply_parity(out, &even, Parity::Odd, self.grain);
-                out.par_iter_mut().zip(inp.par_iter()).for_each(|(o, i)| {
-                    *o = i.scale(a) - o.scale(c);
-                });
-            }
-            // Fused: the second hop's diagonal combination (`i·a − h·c`) is
-            // folded into its output write — the identical value chain, one
-            // fewer full pass, and a reused intermediate buffer.
-            DslashVariant::AosFused => {
-                let mut even = self.scratch.lock();
-                if even.len() != hv {
-                    even.resize(hv, Spinor::zero());
-                }
-                self.hopping
-                    .apply_parity(&mut even, inp, Parity::Even, self.grain);
-                self.hopping.apply_parity_fused_5d(
-                    out,
-                    &even,
-                    Parity::Odd,
-                    1,
-                    self.grain,
-                    &|_, cb, h| inp[cb].scale(a) - h.scale(c),
-                );
-            }
-        }
-    }
-
-    fn flops_per_apply(&self) -> f64 {
-        // Two half-volume hopping applications + the diagonal combination.
-        self.lattice.volume() as f64 * (HOPPING_FLOPS_PER_SITE + 48.0)
-    }
-}
-
-impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecWilson<'a, R, G> {
-    fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
-        self.apply(out, &g5in);
-        out.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
-    }
-}
-
-impl<'a, R: Real, G: GaugeLinks<R>> BlockLinearOp<R> for PrecWilson<'a, R, G> {
-    fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+    /// Reference Schur apply on `nrhs` interleaved right-hand-sides
+    /// (`nrhs = 1`: a plain vector): two blocked parity hops into a fresh
+    /// even-site vector, then `(4+m)·ψ − ¼/(4+m)·H_oe H_eo ψ` as a separate
+    /// pass. The oracle the fused single-RHS `apply` is pinned against,
+    /// and — there being no fused blocked form — the body of `apply_block`.
+    pub fn apply_reference(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         let hv = self.lattice.half_volume();
         let mut even = vec![Spinor::zero(); hv * nrhs];
         self.hopping
@@ -346,13 +240,61 @@ impl<'a, R: Real, G: GaugeLinks<R>> BlockLinearOp<R> for PrecWilson<'a, R, G> {
             *o = i.scale(a) - o.scale(c);
         });
     }
+
+    /// Reference `M̂† = γ5 M̂ γ5` around [`Self::apply_reference`].
+    pub fn apply_dagger_reference(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+        self.apply_reference(out, &gamma5_copy(inp), nrhs);
+        gamma5_in_place(out);
+    }
+}
+
+impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecWilson<'a, R, G> {
+    fn vec_len(&self) -> usize {
+        self.lattice.half_volume()
+    }
+
+    /// The second hop's diagonal combination (`i·a − h·c`) is folded into
+    /// its output write — the value chain of
+    /// [`PrecWilson::apply_reference`], one fewer full pass, and a reused
+    /// intermediate buffer.
+    fn apply(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
+        let hv = self.lattice.half_volume();
+        let a = R::from_f64(self.diag());
+        let c = R::from_f64(0.25 / self.diag());
+        let mut even = self.scratch.lock();
+        if even.len() != hv {
+            even.resize(hv, Spinor::zero());
+        }
+        self.hopping
+            .apply_parity(&mut even, inp, Parity::Even, self.grain);
+        self.hopping
+            .apply_parity_fused_5d(out, &even, Parity::Odd, 1, self.grain, &|_, cb, h| {
+                inp[cb].scale(a) - h.scale(c)
+            });
+    }
+
+    fn flops_per_apply(&self) -> f64 {
+        // Two half-volume hopping applications + the diagonal combination.
+        self.lattice.volume() as f64 * (HOPPING_FLOPS_PER_SITE + 48.0)
+    }
+}
+
+impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecWilson<'a, R, G> {
+    fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
+        self.apply(out, &gamma5_copy(inp));
+        gamma5_in_place(out);
+    }
+}
+
+impl<'a, R: Real, G: GaugeLinks<R>> BlockLinearOp<R> for PrecWilson<'a, R, G> {
+    fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+        self.apply_reference(out, inp, nrhs);
+    }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> BlockDiracOp<R> for PrecWilson<'a, R, G> {
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
-        self.apply_block(out, &g5in, nrhs);
-        out.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
+        self.apply_dagger_reference(out, inp, nrhs);
     }
 }
 
@@ -360,6 +302,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> BlockDiracOp<R> for PrecWilson<'a, R, G> {
 mod tests {
     use super::*;
     use crate::blas;
+    use crate::dirac::testing::assert_matches_reference;
     use crate::field::{FermionField, GaugeField};
 
     #[test]
@@ -459,43 +402,29 @@ mod tests {
     }
 
     #[test]
-    fn wilson_variants_are_bit_identical() {
+    fn wilson_matches_reference_bit_for_bit() {
         let lat = Lattice::new([4, 4, 2, 4]);
         let gauge = GaugeField::<f64>::hot(&lat, 37);
-        let mut d = WilsonDirac::new(&lat, &gauge, 0.1, true);
-        let x = FermionField::<f64>::gaussian(lat.volume(), 8).data;
-        let mut reference = vec![Spinor::zero(); lat.volume()];
-        d.variant = DslashVariant::AosScalar;
-        d.apply(&mut reference, &x);
-        let variants = d.supported_variants();
-        assert!(
-            variants.contains(&DslashVariant::Soa),
-            "x-extent 4 supports SoA"
+        let d = WilsonDirac::new(&lat, &gauge, 0.1, true);
+        assert_matches_reference(
+            &d,
+            &|o, i, n| d.apply_reference(o, i, n),
+            &|o, i, n| d.apply_dagger_reference(o, i, n),
+            8,
         );
-        for v in variants {
-            d.variant = v;
-            let mut out = vec![Spinor::zero(); lat.volume()];
-            d.apply(&mut out, &x);
-            assert_eq!(out, reference, "variant {v:?}");
-        }
     }
 
     #[test]
-    fn prec_wilson_variants_are_bit_identical() {
+    fn prec_wilson_matches_reference_bit_for_bit() {
         let lat = Lattice::new([4, 4, 2, 4]);
         let gauge = GaugeField::<f64>::hot(&lat, 39);
-        let mut p = PrecWilson::new(&lat, &gauge, 0.1, true);
-        let hv = lat.half_volume();
-        let x = FermionField::<f64>::gaussian(hv, 9).data;
-        let mut reference = vec![Spinor::zero(); hv];
-        p.variant = DslashVariant::AosScalar;
-        p.apply(&mut reference, &x);
-        for v in p.supported_variants() {
-            p.variant = v;
-            let mut out = vec![Spinor::zero(); hv];
-            p.apply(&mut out, &x);
-            assert_eq!(out, reference, "prec variant {v:?}");
-        }
+        let p = PrecWilson::new(&lat, &gauge, 0.1, true);
+        assert_matches_reference(
+            &p,
+            &|o, i, n| p.apply_reference(o, i, n),
+            &|o, i, n| p.apply_dagger_reference(o, i, n),
+            9,
+        );
     }
 
     #[test]

@@ -1,18 +1,19 @@
-//! Cross-cutting determinism suite for the dslash execution variants.
+//! Cross-cutting determinism suite for the Dirac operators' fused paths.
 //!
 //! Pins a committed golden digest for every (operator × precision ×
-//! reconstruction × variant) combination, and asserts the tentpole
-//! invariants end to end:
+//! reconstruction) combination, once for the unfused reference chain
+//! (`apply_reference`/`apply_dagger_reference`, golden key suffix `_aos`)
+//! and once for the production path (`apply`/`apply_dagger`, suffix
+//! `_aos_fused`), and asserts end to end:
 //!
-//! - every variant of one operator is **bit-identical** to its scalar AoS
-//!   reference — for `apply`, for the adjoint `apply_dagger`, and for the
-//!   normal operator `D†D` the solvers invert,
+//! - the production path is **bit-identical** to the reference — for `D`,
+//!   for the adjoint `D†`, and for the normal operator `D†D` the solvers
+//!   invert — so the fused path shares the reference's golden,
 //! - results are bit-identical at pool widths 1 and 4 (1, 2 and 4 on the
 //!   Feynman–Hellmann lattice, where the fused passes split into many
 //!   chunks),
 //! - the sharded halo-exchange kernel reproduces the dense hop to the bit
-//!   under multiple comm policies, including when the field is packed from
-//!   and unpacked to the blocked-SoA layout,
+//!   under multiple comm policies,
 //! - the 12-real / 8-real reconstructed operators track full storage to
 //!   tight tolerance (they trade exactness for bandwidth, so they pin their
 //!   own goldens rather than sharing the full-storage one).
@@ -23,6 +24,7 @@
 //! codegen, never changes results — CI runs this suite both ways).
 
 use lqcd_core::comms::{policy_from_index, ShardedField, ShardedHopping};
+use lqcd_core::dirac::LinearOp;
 use lqcd_core::prelude::*;
 use lqcd_core::{comms::DomainDecomposition, dirac::HoppingKernel};
 use std::collections::BTreeMap;
@@ -63,69 +65,105 @@ fn with_width<T: Send>(w: usize, f: impl FnOnce() -> T + Send) -> T {
 /// One application an operator is digested under.
 #[derive(Clone, Copy)]
 enum Form {
-    /// `D`, golden key `{case}_{variant}`.
+    /// `D`, golden key `{case}_{path}`.
     Apply,
-    /// `D†`, golden key `{case}_dagger_{variant}`.
+    /// `D†`, golden key `{case}_dagger_{path}`.
     Dagger,
-    /// `D†D` through [`NormalOp`], golden key `{case}_normal_{variant}`.
+    /// `D†D`, golden key `{case}_normal_{path}`.
     Normal,
 }
 
 impl Form {
-    fn key(self, case: &str, v: DslashVariant) -> String {
+    fn key(self, case: &str, path: &str) -> String {
         match self {
-            Form::Apply => format!("{case}_{}", v.name()),
-            Form::Dagger => format!("{case}_dagger_{}", v.name()),
-            Form::Normal => format!("{case}_normal_{}", v.name()),
-        }
-    }
-
-    fn run<R: Real, Op: DiracOp<R>>(self, op: &Op, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        match self {
-            Form::Apply => op.apply(out, inp),
-            Form::Dagger => op.apply_dagger(out, inp),
-            Form::Normal => NormalOp::new(op).apply(out, inp),
+            Form::Apply => format!("{case}_{path}"),
+            Form::Dagger => format!("{case}_dagger_{path}"),
+            Form::Normal => format!("{case}_normal_{path}"),
         }
     }
 }
 
-/// Apply `op` in every [`Form`] under every supported variant at each pool
-/// width in `widths`; assert all (variant × width) results of one form
-/// share one digest and record it under per-variant golden keys.
-fn digest_variants<R, Op>(
+/// A single-RHS `(out, inp)` application.
+type Chain<'c, R> = &'c (dyn Fn(&mut [Spinor<R>], &[Spinor<R>]) + Sync);
+
+/// `D`, `D†` or `D†D` from a pair of `D`/`D†` chains.
+fn run<R: Real>(
+    form: Form,
+    d: Chain<'_, R>,
+    d_dagger: Chain<'_, R>,
+    out: &mut [Spinor<R>],
+    inp: &[Spinor<R>],
+) {
+    match form {
+        Form::Apply => d(out, inp),
+        Form::Dagger => d_dagger(out, inp),
+        Form::Normal => {
+            let mut tmp = vec![Spinor::zero(); inp.len()];
+            d(&mut tmp, inp);
+            d_dagger(out, &tmp);
+        }
+    }
+}
+
+/// Apply `op` in every [`Form`] through its reference chains (`_aos`) and
+/// its production path (`_aos_fused`, `D†D` through [`NormalOp`]) at each
+/// pool width in `widths`; assert every result of one form shares one
+/// digest and record it under both golden keys.
+#[allow(clippy::too_many_arguments)]
+fn digest_paths<R: Real, Op: DiracOp<R>>(
     case: &str,
-    op: &mut Op,
+    op: &Op,
+    reference: Chain<'_, R>,
+    reference_dagger: Chain<'_, R>,
     seed: u64,
     widths: &[usize],
     map: &mut BTreeMap<String, u64>,
-) where
-    R: Real,
-    Op: VariantTunable<R> + DiracOp<R> + Send,
-{
+) {
     let n = op.vec_len();
     let inp = FermionField::<R>::gaussian(n, seed).data;
+    let normal = NormalOp::new(op);
+    let fused: Chain<'_, R> = &|o, i| op.apply(o, i);
+    let fused_dagger: Chain<'_, R> = &|o, i| op.apply_dagger(o, i);
     for form in [Form::Apply, Form::Dagger, Form::Normal] {
-        let mut reference = None;
-        for v in op.supported_variants() {
-            op.set_variant(v);
+        let mut golden = None;
+        for (path, d, d_dagger) in [
+            ("aos", reference, reference_dagger),
+            ("aos_fused", fused, fused_dagger),
+        ] {
             for &w in widths {
                 let mut out = vec![Spinor::zero(); n];
-                let (op_ref, out_ref, inp_ref) = (&*op, &mut out, &inp);
-                with_width(w, move || form.run(op_ref, out_ref, inp_ref));
-                let d = digest(&out);
-                match reference {
-                    None => reference = Some(d),
-                    Some(r) => assert_eq!(
-                        d,
-                        r,
-                        "{}: variant {v:?} at width {w} diverges from the scalar reference",
-                        form.key(case, v)
-                    ),
-                }
+                with_width(w, || match (path, form) {
+                    ("aos_fused", Form::Normal) => normal.apply(&mut out, &inp),
+                    _ => run(form, d, d_dagger, &mut out, &inp),
+                });
+                let got = digest(&out);
+                let want = *golden.get_or_insert(got);
+                assert_eq!(
+                    got,
+                    want,
+                    "{} at width {w} diverges from the reference",
+                    form.key(case, path)
+                );
             }
-            map.insert(form.key(case, v), reference.unwrap());
+            map.insert(form.key(case, path), golden.unwrap());
         }
     }
+}
+
+/// [`digest_paths`] with the operator's own inherent reference chains.
+macro_rules! digest_op {
+    ($case:expr, $op:expr, $seed:expr, $widths:expr, $map:expr $(,)?) => {{
+        let op = &$op;
+        digest_paths(
+            $case,
+            op,
+            &|o, i| op.apply_reference(o, i, 1),
+            &|o, i| op.apply_dagger_reference(o, i, 1),
+            $seed,
+            $widths,
+            $map,
+        )
+    }};
 }
 
 /// Build the full digest map across operators, precisions, and gauge
@@ -138,44 +176,44 @@ fn golden_map() -> BTreeMap<String, u64> {
     let gauge32 = gauge64.cast::<f32>();
     let params = MobiusParams::standard(4, 0.08);
 
-    digest_variants(
+    digest_op!(
         "wilson_f64_full",
-        &mut WilsonDirac::new(&lat, &gauge64, 0.1, true),
+        WilsonDirac::new(&lat, &gauge64, 0.1, true),
         71,
         &[1, 4],
         &mut map,
     );
-    digest_variants(
+    digest_op!(
         "wilson_f32_full",
-        &mut WilsonDirac::new(&lat, &gauge32, 0.1, true),
+        WilsonDirac::new(&lat, &gauge32, 0.1, true),
         72,
         &[1, 4],
         &mut map,
     );
-    digest_variants(
+    digest_op!(
         "prec_wilson_f64_full",
-        &mut PrecWilson::new(&lat, &gauge64, 0.1, true),
+        PrecWilson::new(&lat, &gauge64, 0.1, true),
         73,
         &[1, 4],
         &mut map,
     );
-    digest_variants(
+    digest_op!(
         "mobius_f64_full",
-        &mut MobiusDirac::new(&lat, &gauge64, params),
+        MobiusDirac::new(&lat, &gauge64, params),
         74,
         &[1, 4],
         &mut map,
     );
-    digest_variants(
+    digest_op!(
         "prec_mobius_f64_full",
-        &mut PrecMobius::new(&lat, &gauge64, params),
+        PrecMobius::new(&lat, &gauge64, params),
         75,
         &[1, 4],
         &mut map,
     );
-    digest_variants(
+    digest_op!(
         "prec_mobius_f32_full",
-        &mut PrecMobius::new(&lat, &gauge32, params),
+        PrecMobius::new(&lat, &gauge32, params),
         76,
         &[1, 4],
         &mut map,
@@ -184,17 +222,17 @@ fn golden_map() -> BTreeMap<String, u64> {
     // Compressed-link operators: not bit-equal to full storage (their
     // tolerance is asserted separately below), so they pin their own rows.
     let r12 = Recon12Gauge::from_gauge(&gauge64);
-    digest_variants(
+    digest_op!(
         "wilson_f64_recon12",
-        &mut WilsonDirac::new(&lat, &r12, 0.1, true),
+        WilsonDirac::new(&lat, &r12, 0.1, true),
         71,
         &[1, 4],
         &mut map,
     );
     let r8 = Recon8Gauge::from_gauge(&gauge64);
-    digest_variants(
+    digest_op!(
         "wilson_f64_recon8",
-        &mut WilsonDirac::new(&lat, &r8, 0.1, true),
+        WilsonDirac::new(&lat, &r8, 0.1, true),
         71,
         &[1, 4],
         &mut map,
@@ -207,15 +245,15 @@ fn golden_map() -> BTreeMap<String, u64> {
     let fh64 = GaugeField::<f64>::hot(&fh_lat, 35);
     let fh32 = fh64.cast::<f32>();
     let fh_params = MobiusParams::standard(8, 0.1);
-    let mut fh_op64 = PrecMobius::new(&fh_lat, &fh64, fh_params);
+    let fh_op64 = PrecMobius::new(&fh_lat, &fh64, fh_params);
     assert!(
         fh_op64.grain.div_ceil(fh_params.l5) * 4 <= fh_lat.half_volume(),
         "the fh case must split its fused passes into several chunks"
     );
-    digest_variants("prec_mobius_f64_fh", &mut fh_op64, 77, &[1, 2, 4], &mut map);
-    digest_variants(
+    digest_op!("prec_mobius_f64_fh", fh_op64, 77, &[1, 2, 4], &mut map);
+    digest_op!(
         "prec_mobius_f32_fh",
-        &mut PrecMobius::new(&fh_lat, &fh32, fh_params),
+        PrecMobius::new(&fh_lat, &fh32, fh_params),
         78,
         &[1, 2, 4],
         &mut map,
@@ -253,7 +291,7 @@ fn parse_goldens(text: &str) -> BTreeMap<String, u64> {
 }
 
 #[test]
-fn variant_goldens_are_pinned_and_width_invariant() {
+fn fused_and_reference_goldens_are_pinned_and_width_invariant() {
     let map = golden_map();
     if std::env::var("UPDATE_GOLDENS").is_ok() {
         std::fs::write(GOLDEN_PATH, render(&map)).expect("write goldens");
@@ -265,20 +303,22 @@ fn variant_goldens_are_pinned_and_width_invariant() {
     ));
     assert_eq!(
         map, committed,
-        "variant digests drifted from the committed goldens; if the change \
+        "dslash digests drifted from the committed goldens; if the change \
          is intentional, regenerate with UPDATE_GOLDENS=1"
     );
 }
 
 #[test]
-fn sharded_policies_match_dense_hop_through_soa_frames() {
+fn sharded_policies_match_dense_hop() {
+    // A bare `ShardedHopping` against the single-domain hop, slice by
+    // slice, under a Coarse policy on an x-split grid and a Fine policy on
+    // a t-split grid (the antiperiodic sign crosses the rank boundary).
     let lat = Lattice::new([4, 4, 4, 8]);
     let l5 = 4;
     let gauge = GaugeField::<f64>::hot(&lat, 33);
     let v = lat.volume();
     let inp = FermionField::<f64>::gaussian(l5 * v, 81).data;
 
-    // Dense reference: the single-domain hop, slice by slice.
     let hop = HoppingKernel::new(&lat, &gauge, true);
     let mut expect = vec![Spinor::<f64>::zero(); l5 * v];
     for s in 0..l5 {
@@ -289,7 +329,6 @@ fn sharded_policies_match_dense_hop_through_soa_frames() {
         );
     }
 
-    let soa_in = SoaSpinorField::from_aos(&inp);
     for (grid, pidx) in [([2, 1, 1, 1], 0usize), ([1, 1, 1, 2], 1)] {
         let domain = Arc::new(
             DomainDecomposition::new(&lat, grid, l5, 2).expect("grid decomposes the lattice"),
@@ -297,20 +336,14 @@ fn sharded_policies_match_dense_hop_through_soa_frames() {
         let mut sharded =
             ShardedHopping::new(domain.clone(), &gauge, true, policy_from_index(pidx));
         for w in [1usize, 4] {
-            // Pack from the blocked-SoA layout, exchange, unpack back.
-            let mut si = ShardedField::scatter_soa(&domain, &soa_in, l5);
+            let mut si = ShardedField::scatter(&domain, &inp, l5);
             let mut so = ShardedField::zeros(&domain, l5);
-            let (sh, si_ref, so_ref) = (&mut sharded, &mut si, &mut so);
-            with_width(w, move || {
-                sh.apply(so_ref, si_ref).expect("fault-free apply");
+            with_width(w, || {
+                sharded.apply(&mut so, &mut si).expect("fault-free apply");
             });
-            let mut soa_out = SoaSpinorField::zeros(l5 * v);
-            so.gather_into_soa(&domain, &mut soa_out);
-            assert_eq!(
-                soa_out.to_aos(),
-                expect,
-                "grid {grid:?} policy {pidx} width {w}"
-            );
+            let mut got = vec![Spinor::<f64>::zero(); l5 * v];
+            so.gather_into(&domain, &mut got);
+            assert_eq!(got, expect, "grid {grid:?} policy {pidx} width {w}");
         }
     }
 }

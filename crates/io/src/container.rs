@@ -255,7 +255,9 @@ pub fn write_container(path: &Path, container: &Container) -> Result<(), IoError
 }
 
 /// Read only the header of a container (no payload, no checksum work) —
-/// what a workflow manager uses to inventory files cheaply.
+/// what a workflow manager uses to inventory files cheaply. The header
+/// buffer grows with the bytes actually read, so a corrupt length field
+/// cannot make it allocate up to 4 GiB up front.
 pub fn read_header(path: &Path) -> Result<Header, IoError> {
     let mut file = std::io::BufReader::new(std::fs::File::open(path)?);
     let mut magic = [0u8; 8];
@@ -265,9 +267,12 @@ pub fn read_header(path: &Path) -> Result<Header, IoError> {
     }
     let mut len4 = [0u8; 4];
     file.read_exact(&mut len4)?;
-    let hlen = u32::from_le_bytes(len4) as usize;
-    let mut hbytes = vec![0u8; hlen];
-    file.read_exact(&mut hbytes)?;
+    let hlen = u32::from_le_bytes(len4);
+    let mut hbytes = Vec::new();
+    file.take(u64::from(hlen)).read_to_end(&mut hbytes)?;
+    if hbytes.len() != hlen as usize {
+        return Err(IoError::Format("truncated header".into()));
+    }
     let text =
         std::str::from_utf8(&hbytes).map_err(|_| IoError::Format("header: not utf-8".into()))?;
     let json = Json::parse(text).map_err(|e| IoError::Format(format!("header: {e}")))?;
@@ -578,6 +583,29 @@ mod tests {
         assert_eq!(h.name, "inventory");
         assert_eq!(h.shape, vec![50_000]);
         assert_eq!(h.metadata.get("config").map(String::as_str), Some("7"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn oversized_header_length_is_rejected_without_allocating_it() {
+        let path = tmp("huge_hlen.lqio");
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(read_header(&path), Err(IoError::Format(_))));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn deeply_nested_header_is_an_error_not_a_stack_overflow() {
+        let header = "[".repeat(100_000);
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&(header.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(header.as_bytes());
+        assert!(matches!(parse_container(&bytes), Err(IoError::Format(_))));
+        let path = tmp("nested_header.lqio");
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(read_header(&path), Err(IoError::Format(_))));
         std::fs::remove_file(&path).ok();
     }
 

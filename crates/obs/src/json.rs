@@ -174,11 +174,12 @@ impl Json {
         }
     }
 
-    /// Parse a JSON document (rejects trailing garbage).
+    /// Parse a JSON document (rejects trailing garbage, and arrays or
+    /// objects nested more than 128 levels deep).
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err(pos, "trailing characters after value"));
@@ -312,8 +313,18 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a cap a hostile document (an
+/// on-disk header, say) of a few hundred kilobytes of `[` overflows the
+/// stack and aborts the process instead of returning an error.
+const MAX_DEPTH: usize = 128;
+
+/// Parse one value whose enclosing containers are `depth` deep.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(err(*pos, "nesting deeper than MAX_DEPTH"));
+    }
     match b.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
         Some(b'n') => expect(b, pos, "null").map(|_| Json::Null),
@@ -329,7 +340,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -360,7 +371,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                     return Err(err(*pos, "expected `:` after object key"));
                 }
                 *pos += 1;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -466,6 +477,23 @@ fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let hostile = "[".repeat(100_000);
+        let e = Json::parse(&hostile).expect_err("100k-deep input must not parse");
+        assert_eq!(e.offset, MAX_DEPTH);
+        let objects = "{\"k\":".repeat(100_000);
+        assert!(Json::parse(&objects).is_err());
+
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(
+            Json::parse(&at_cap).is_ok(),
+            "{MAX_DEPTH} levels still parse"
+        );
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).is_err());
+    }
 
     #[test]
     fn round_trips_nested_document() {

@@ -165,13 +165,15 @@ impl<'a> Gateway<'a> {
     /// mismatch aborts the run with [`ServiceError::Audit`] — the service
     /// refuses to keep serving answers it cannot prove content-addressed.
     ///
-    /// A request with a non-finite or negative mass fails the whole run
+    /// A request with a non-finite or negative mass, or with a
+    /// configuration id the backend does not hold, fails the whole run
     /// with [`ServiceError::Config`] before anything is solved.
     ///
     /// [`cg`]: lqcd_core::solver::cg
     pub fn run(&self, requests: &[SolveRequest]) -> Result<ServeReport, ServiceError> {
         for req in requests {
             check_mass(req.mass)?;
+            self.backend.config_hash(req.config_id)?;
         }
         let cfg = &self.cfg;
         let reg = Registry::current();
@@ -684,6 +686,35 @@ mod tests {
             assert_eq!(solves, 0, "mass {bad}: a solve ran");
             assert!(cache.is_empty(), "mass {bad}");
         }
+    }
+
+    #[test]
+    fn unknown_config_id_fails_the_run_before_any_solve() {
+        let backend = Backend::new(BackendConfig {
+            n_configs: 1,
+            ..BackendConfig::default()
+        })
+        .expect("backend");
+        let cache = ResultCache::new(4, None);
+        let gateway = Gateway::new(&backend, &cache, GatewayConfig::default());
+        let req = |config_id: u32, arrival: u64| SolveRequest {
+            tenant: 0,
+            config_id,
+            source_seed: 5,
+            mass: 0.2,
+            precision: Precision::Sloppy,
+            policy: Policy::Dense,
+            arrival,
+        };
+        // A valid request ahead of the bad id must not be solved either.
+        let reg = Registry::new();
+        let r = {
+            let _scope = reg.install_scoped();
+            gateway.run(&[req(0, 1), req(7, 2)])
+        };
+        assert!(matches!(r, Err(ServiceError::Config(_))), "{r:?}");
+        assert_eq!(reg.counter("solver.cg_block.block_solves").get(), 0);
+        assert!(cache.is_empty());
     }
 
     #[test]

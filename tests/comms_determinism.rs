@@ -177,8 +177,7 @@ fn sharded_normal_bit_identical_to_dense_reference() {
     let lat = Lattice::new([4, 4, 4, 8]);
     let gauge = GaugeField::<f64>::hot(&lat, 73);
     let params = MobiusParams::standard(L5, 0.08);
-    let mut dense = MobiusDirac::new(&lat, &gauge, params);
-    dense.variant = DslashVariant::AosScalar;
+    let dense = MobiusDirac::new(&lat, &gauge, params);
     let n = dense.vec_len();
     let x = FermionField::<f64>::gaussian(n, 74).data;
     let y = FermionField::<f64>::gaussian(n, 75).data;
@@ -187,11 +186,14 @@ fn sharded_normal_bit_identical_to_dense_reference() {
         f(&mut out, v);
         out
     };
-    let normal = NormalOp::new(&dense);
-    let d_ref = reference(&|o, i| dense.apply(o, i), &x);
-    let ddag_ref = reference(&|o, i| dense.apply_dagger(o, i), &x);
-    let normal_ref = reference(&|o, i| normal.apply(o, i), &x);
-    let normal_ref_y = reference(&|o, i| normal.apply(o, i), &y);
+    let d_ref = reference(&|o, i| dense.apply_reference(o, i, 1), &x);
+    let ddag_ref = reference(&|o, i| dense.apply_dagger_reference(o, i, 1), &x);
+    let normal_ref_of = |v: &[Spinor<f64>]| {
+        let d = reference(&|o, i| dense.apply_reference(o, i, 1), v);
+        reference(&|o, i| dense.apply_dagger_reference(o, i, 1), &d)
+    };
+    let normal_ref = normal_ref_of(&x);
+    let normal_ref_y = normal_ref_of(&y);
     let block = BlockSpinor::from_columns(&[x.clone(), y.clone()]);
 
     for &w in &WIDTHS {
